@@ -5,9 +5,7 @@ from .analysis import (
     RunTrace,
     completion_time_bound,
     compute_gaps,
-    delta_min_exhaustive,
     empirical_regret,
-    mean_regret_curve,
     regret_bound,
     regret_bound_curve,
     subgamma_tail,
@@ -32,8 +30,6 @@ from .latency import (
     kth_order_response,
     member_responses,
     response_vector,
-    sample_response,
-    superarm_response,
     variance_of_max,
 )
 from .policies import (
@@ -42,10 +38,7 @@ from .policies import (
     BanditState,
     RadiusVariant,
     RoundSchedule,
-    adaptive_ksync_step,
     compute_schedule,
-    confidence_radius,
-    lcb,
     lcb_values,
     record_outcome,
     select_superarm_cmab,
@@ -55,14 +48,11 @@ from .policies import (
 from .sgd import (
     BoundParams,
     SgdProblem,
-    apply_update,
+    batch_gradient,
     convergence_bound,
     estimate_bound_params,
     generate_problem,
-    loss,
     model_error,
-    partial_gradient,
-    sample_batch,
     sample_batches,
 )
 

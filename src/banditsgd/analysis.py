@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -13,9 +12,6 @@ from .latency import WorkerPool, expected_max, variance_of_max
 from .policies import RoundSchedule, select_superarm_optimal
 
 logger = logging.getLogger(__name__)
-
-EXHAUSTIVE_N_CAP = 20
-EXHAUSTIVE_B_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -45,8 +41,8 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     position v, the closest strictly-slower alternative to the optimal v-th
     worker is the next distinct mean value in sorted order, and choosing the
     superarm of size r = v makes any such alternative employable. Positions
-    beyond b never occur, so only v <= b contributes. The reduction is
-    verified against :func:`delta_min_exhaustive` in the test suite.
+    beyond b never occur, so only v <= b contributes. The test suite checks
+    the reduction against a brute-force enumeration of every superarm.
     """
     b = schedule.b
     if b > pool.n:
@@ -62,7 +58,7 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
         worst_means[r - 1] = expected_max(pool.rates[np.sort(slow_order[:r])])
     delta_max = worst_means - optimal_means
 
-    sorted_means = np.sort(pool.means)
+    sorted_means = pool.sorted_means
     position_gaps = np.full(b, np.inf)
     for v in range(1, min(b, pool.n) + 1):
         ref = sorted_means[v - 1]
@@ -79,30 +75,6 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
         position_gaps=position_gaps,
         delta_min=delta_min,
     )
-
-
-def delta_min_exhaustive(pool: WorkerPool, b: int) -> float:
-    """Brute-force minimum per-arm gap over every superarm of size <= b.
-
-    Enumerates all superarms and positions; exponential in n, so capped.
-    """
-    if pool.n > EXHAUSTIVE_N_CAP or b > EXHAUSTIVE_B_CAP:
-        raise ValueError(
-            f"exhaustive enumeration capped at n <= {EXHAUSTIVE_N_CAP}, b <= {EXHAUSTIVE_B_CAP}; "
-            "use compute_gaps (pairwise reduction) for larger pools"
-        )
-    if not 1 <= b <= pool.n:
-        raise ValueError("need 1 <= b <= n")
-    sorted_means = np.sort(pool.means)
-    best = math.inf
-    for r in range(1, b + 1):
-        opt = sorted_means[:r]
-        for combo in itertools.combinations(range(pool.n), r):
-            member_means = np.sort(pool.means[list(combo)])
-            for v in range(r):
-                if member_means[v] > opt[v]:
-                    best = min(best, member_means[v] - opt[v])
-    return best
 
 
 @dataclass
@@ -177,13 +149,6 @@ def empirical_regret(
         reference_means = round_reference_means(pool, schedule)
     baseline = np.cumsum(reference_means[trace.rounds - 1])
     return trace.cum_times - baseline
-
-
-def mean_regret_curve(traces, pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:
-    """Across-seed average of single-run regret curves."""
-    reference = round_reference_means(pool, schedule)
-    curves = [empirical_regret(t, pool, schedule, reference) for t in traces]
-    return np.mean(np.stack(curves), axis=0)
 
 
 def regret_bound(

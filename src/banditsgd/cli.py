@@ -20,11 +20,7 @@ def _build_config(args) -> harness.ExperimentConfig:
             overrides[key] = value
     if getattr(args, "config", None):
         return harness.ExperimentConfig.from_file(args.config, **overrides)
-    cfg = harness.ExperimentConfig()
-    if overrides:
-        coerced = {k: harness._coerce(k, v) for k, v in overrides.items()}
-        cfg = cfg.replace(**coerced)
-    return cfg
+    return harness.ExperimentConfig.from_mapping(overrides)
 
 
 def _cmd_run(args) -> int:
@@ -59,16 +55,14 @@ def _cmd_bounds(args) -> int:
     if args.rates:
         pool = WorkerPool(np.array([float(tok) for tok in args.rates.split(",")]))
     else:
-        pool_seed = config.pool_seed if config.pool_seed is not None else config.seeds[0]
-        pool = harness.build_pool(config, pool_seed)
+        pool = harness.build_pool(config, config.seeds[0])
     if pool.n < config.b:
         raise ValueError(f"pool has {pool.n} workers but b={config.b}")
     problem = None
     if config.switching_points() is None:
         if not config.simulate_sgd:
             raise ValueError("computed schedule mode needs simulate_sgd=true")
-        data_seed = config.data_seed if config.data_seed is not None else config.seeds[0]
-        problem = harness.build_problem(config, data_seed)
+        problem = harness.build_problem(config, config.seeds[0])
     schedule, _ = harness.resolve_schedule(config, problem)
 
     gaps = analysis.compute_gaps(pool, schedule)
@@ -180,7 +174,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

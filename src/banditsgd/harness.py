@@ -15,7 +15,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,6 +99,12 @@ class ExperimentConfig:
             raise ValueError("need 0 < mean_min <= mean_max")
         if self.mean_step <= 0:
             raise ValueError("mean_step must be > 0")
+        if self.m < 1 or self.d < 1:
+            raise ValueError(f"need m >= 1 and d >= 1, got m={self.m}, d={self.d}")
+        if not self.eta > 0:
+            raise ValueError(f"eta must be > 0, got {self.eta}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be > 0, got {self.theta}")
         if self.worker_means is not None and len(self.worker_means) != self.n:
             raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
         self.switching_points()  # parse eagerly so bad values fail here
@@ -277,25 +283,19 @@ def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
     employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
 
     state = BanditState.zeros(n)
-    ksync_pulls = np.zeros(n, dtype=np.int64)
     ksync_sums = np.zeros(n, dtype=np.float64)
     optimal_sets = [select_superarm_optimal(pool, r) for r in range(1, schedule.b + 1)]
 
     if problem is not None:
-        w = problem.w
-        X, y = problem.X, problem.y
-        m = problem.m
-        target = problem.least_squares_target
+        w = problem.w0.copy()
         step_base = problem.eta / problem.s
 
     for j in range(1, horizon + 1):
         r = int(rounds[j - 1])
         if is_ksync:
             draws = response_vector(pool, latency_rng)
-            times[j - 1] = np.partition(draws, r - 1)[r - 1]
             arm = np.sort(np.argsort(draws, kind="stable")[:r])
             resp = draws[arm]
-            ksync_pulls += 1
             ksync_sums += draws
         else:
             if variant is None:  # omniscient policy
@@ -303,30 +303,22 @@ def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
             else:
                 arm = select_superarm_cmab(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng)
-            times[j - 1] = resp.max()
             record_outcome(state, arm, resp, pool, r, j)
+        times[j - 1] = resp.max()
         lo = offsets[j - 1]
         members[lo : lo + r] = arm
         member_resp[lo : lo + r] = resp
 
         if problem is not None:
-            # Fused form of: apply_update(problem, [partial_gradient(problem, batch)
-            # for batch in batches], r). Sample l contributes resid_l * x_l once
-            # per batch containing it, so the summed gradient is X^T of the
-            # occurrence-weighted full residual; no row gather needed.
             batches = sgd.sample_batches(problem, r, batch_rng)
-            weights = np.bincount(batches.ravel(), minlength=m).astype(np.float64)
-            resid = X @ w
-            resid -= y
-            resid *= weights
-            w = w - (step_base / r) * (resid @ X)
-            errors[j - 1] = math.sqrt(float((delta := w - target) @ delta))
-
-    if problem is not None:
-        problem.w = w
+            w = w - (step_base / r) * sgd.batch_gradient(problem, w, batches)
+            err = sgd.model_error(problem, w)
+            if not math.isfinite(err):
+                raise ValueError(f"model error is {err} at iteration {j}; eta={config.eta} is too large to converge")
+            errors[j - 1] = err
 
     if is_ksync:
-        pulls, sums, subopt = ksync_pulls, ksync_sums, np.zeros(n, dtype=np.int64)
+        pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)
     else:
         pulls, sums, subopt = state.pulls, state.response_sums, state.suboptimal_pulls
 

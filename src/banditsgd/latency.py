@@ -9,7 +9,7 @@ is exact but exponential in the list length, hence the hard cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,10 +24,13 @@ class WorkerPool:
     """Pool of workers with independent exponential response times.
 
     ``rates[i]`` is the rate of worker ``i`` (so ``means[i] = 1/rates[i]`` is
-    its expected response time). Workers are indexed from 0.
+    its expected response time). Workers are indexed from 0. ``means`` and
+    their ascending copy ``sorted_means`` are computed once, read-only.
     """
 
     rates: np.ndarray
+    means: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rates = np.atleast_1d(np.asarray(self.rates, dtype=np.float64)).copy()
@@ -35,20 +38,15 @@ class WorkerPool:
             raise ValueError("worker pool needs a non-empty 1-D rate list")
         if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
             raise ValueError("every worker rate must be finite and > 0")
-        rates.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
+        means = 1.0 / rates
+        sorted_means = np.sort(means)
+        for name, arr in (("rates", rates), ("means", means), ("sorted_means", sorted_means)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
         return int(self.rates.size)
-
-    @property
-    def means(self) -> np.ndarray:
-        return 1.0 / self.rates
-
-    @property
-    def rate_min(self) -> float:
-        return float(self.rates.min())
 
     @property
     def theorem_valid(self) -> bool:
@@ -58,13 +56,7 @@ class WorkerPool:
         constraint so that pools outside the assumption remain simulable
         (time units are dimensionless and can always be rescaled).
         """
-        return self.rate_min >= 1.0
-
-    def validate_worker(self, worker: int) -> int:
-        worker = int(worker)
-        if not 0 <= worker < self.n:
-            raise ValueError(f"worker index {worker} outside [0, {self.n})")
-        return worker
+        return float(self.rates.min()) >= 1.0
 
     def validate_superarm(self, superarm) -> np.ndarray:
         """Canonicalize an index set: ascending, distinct, in range."""
@@ -78,12 +70,6 @@ class WorkerPool:
         if arm[0] < 0 or arm[-1] >= self.n:
             raise ValueError("superarm contains out-of-range worker indices")
         return arm
-
-
-def sample_response(pool: WorkerPool, worker: int, rng: np.random.Generator) -> float:
-    """One response-time draw for ``worker``. Consumes one exponential variate."""
-    worker = pool.validate_worker(worker)
-    return float(rng.exponential(pool.means[worker]))
 
 
 def response_vector(pool: WorkerPool, rng: np.random.Generator) -> np.ndarray:
@@ -100,11 +86,6 @@ def member_responses(pool: WorkerPool, superarm, rng: np.random.Generator) -> np
     """
     arm = pool.validate_superarm(superarm)
     return rng.exponential(pool.means[arm])
-
-
-def superarm_response(pool: WorkerPool, superarm, rng: np.random.Generator) -> float:
-    """Time to wait for the slowest member: max of one draw per member."""
-    return float(member_responses(pool, superarm, rng).max())
 
 
 def kth_order_response(pool: WorkerPool, k: int, rng: np.random.Generator) -> float:

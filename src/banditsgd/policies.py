@@ -1,4 +1,4 @@
-"""Scheduling policies: lower-confidence-bound bandit, omniscient, and k-sync baseline.
+"""Scheduling policies: lower-confidence-bound bandit and omniscient selection, and round schedules.
 
 The bandit policy runs in rounds: during round r it employs r workers per
 iteration, picking the r arms with the lowest LCBs. An arm's LCB at iteration
@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .latency import WorkerPool, expected_max, kth_order_response
+from .latency import WorkerPool
 
-# Largest superarm for which the suboptimality test evaluates the exact
-# expected-max formula (2^r terms per call); larger superarms use the
-# sorted-means comparison, which is equivalent because the expected max is
-# strictly monotone in every member's mean.
-EXACT_SUBOPTIMALITY_CAP = 6
 SUBOPTIMALITY_TOL = 1e-12
 
 
@@ -56,13 +50,6 @@ class BanditState:
     def n(self) -> int:
         return int(self.pulls.size)
 
-    def empirical_means(self) -> np.ndarray:
-        """Mean observed response per worker; NaN where never pulled."""
-        out = np.full(self.n, np.nan)
-        pulled = self.pulls > 0
-        out[pulled] = self.response_sums[pulled] / self.pulls[pulled]
-        return out
-
 
 @dataclass(frozen=True)
 class RadiusVariant:
@@ -95,15 +82,6 @@ PLAIN = RadiusVariant("plain")
 SCALED = RadiusVariant("scaled")
 
 
-def confidence_radius(state: BanditState, variant: RadiusVariant, worker: int, j: float) -> float:
-    """sqrt(4 f(j) / T_i) + 2 f(j) / T_i for a worker with T_i = pulls > 0."""
-    t = int(state.pulls[worker])
-    if t <= 0:
-        raise ValueError("confidence radius undefined for an unpulled worker")
-    f = variant.exploration_scale(state, j)
-    return math.sqrt(4.0 * f / t) + 2.0 * f / t
-
-
 def lcb_values(state: BanditState, variant: RadiusVariant, j: float) -> np.ndarray:
     """LCBs of all workers for the selection at iteration j.
 
@@ -113,34 +91,15 @@ def lcb_values(state: BanditState, variant: RadiusVariant, j: float) -> np.ndarr
     if j < 1:
         raise ValueError("iteration must be >= 1")
     pulled = state.pulls > 0
-    if pulled.all():
-        if j == 1:
-            raise ValueError("no worker can have pulls before the first iteration")
-        f = variant.exploration_scale(state, j - 1)
-        t = state.pulls.astype(np.float64)
-        return state.response_sums / t - (np.sqrt(4.0 * f / t) + 2.0 * f / t)
-    out = np.full(state.n, -np.inf)
     if not pulled.any():
-        return out
+        return np.full(state.n, -np.inf)
     if j == 1:
         raise ValueError("no worker can have pulls before the first iteration")
     f = variant.exploration_scale(state, j - 1)
-    t = state.pulls[pulled].astype(np.float64)
-    radius = np.sqrt(4.0 * f / t) + 2.0 * f / t
-    out[pulled] = state.response_sums[pulled] / t - radius
+    t = np.maximum(state.pulls, 1).astype(np.float64)
+    out = state.response_sums / t - (np.sqrt(4.0 * f / t) + 2.0 * f / t)
+    out[~pulled] = -np.inf
     return out
-
-
-def lcb(state: BanditState, variant: RadiusVariant, worker: int, j: float) -> float:
-    """Lower confidence bound of one worker for the selection at iteration j."""
-    if j < 1:
-        raise ValueError("iteration must be >= 1")
-    if state.pulls[worker] == 0:
-        return -math.inf
-    if j == 1:
-        raise ValueError("no worker can have pulls before the first iteration")
-    mean = state.response_sums[worker] / state.pulls[worker]
-    return float(mean - confidence_radius(state, variant, worker, j - 1))
 
 
 def select_superarm_cmab(state: BanditState, variant: RadiusVariant, r: int, j: float) -> np.ndarray:
@@ -160,34 +119,15 @@ def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
     return np.sort(order[:r])
 
 
-@lru_cache(maxsize=512)
-def _optimal_reference(rates_key: bytes, r: int) -> tuple[np.ndarray, float | None]:
-    """Sorted optimal member means for size r, plus their exact expected max
-    when r is small enough to enumerate cheaply."""
-    rates = np.frombuffer(rates_key, dtype=np.float64)
-    means = 1.0 / rates
-    sorted_means = np.sort(means)[:r]
-    value = None
-    if r <= EXACT_SUBOPTIMALITY_CAP:
-        best = np.argsort(means, kind="stable")[:r]
-        value = expected_max(rates[best])
-    sorted_means.setflags(write=False)
-    return sorted_means, value
-
-
 def _suboptimal_given_valid(pool: WorkerPool, arm: np.ndarray, tol: float) -> bool:
-    opt_sorted, opt_value = _optimal_reference(pool.rates.tobytes(), arm.size)
-    if opt_value is not None:
-        return expected_max(pool.rates[arm]) > opt_value + tol
-    return bool(np.any(np.sort(pool.means[arm]) > opt_sorted + tol))
+    return bool(np.any(np.sort(pool.means[arm]) > pool.sorted_means[: arm.size] + tol))
 
 
 def superarm_is_suboptimal(pool: WorkerPool, superarm, *, tol: float = SUBOPTIMALITY_TOL) -> bool:
     """Whether the superarm's expected completion time exceeds the optimum.
 
-    For small superarms this compares exact expected-max values directly.
-    For larger ones it compares the sorted member means against the optimal
-    sorted means, which decides the same predicate: the expected max strictly
+    Compares the sorted member means against the pool's r smallest means,
+    which decides the expected-max comparison: the expected max strictly
     increases when any member's mean strictly increases, and the optimal set
     holds the r smallest means, so a mean multiset mismatch forces a strictly
     larger expected max.
@@ -228,12 +168,6 @@ def record_outcome(
     return state
 
 
-def adaptive_ksync_step(pool: WorkerPool, k: int, rng: np.random.Generator) -> tuple[float, int]:
-    """One baseline iteration: all n workers are tasked (and paid for), the
-    k-th fastest response sets the iteration time. Returns (time, employments)."""
-    return kth_order_response(pool, k, rng), pool.n
-
-
 @dataclass(frozen=True)
 class RoundSchedule:
     """Switching points T_1 < ... < T_b; round r covers iterations (T_{r-1}, T_r]."""
@@ -256,12 +190,6 @@ class RoundSchedule:
     @property
     def horizon(self) -> int:
         return self.switching_points[-1]
-
-    def round_of(self, j: int) -> int:
-        """The round r with T_{r-1} < j <= T_r (1-based rounds)."""
-        if not 1 <= j <= self.horizon:
-            raise ValueError(f"iteration {j} outside [1, {self.horizon}]")
-        return int(np.searchsorted(self._points_arr, j, side="left")) + 1
 
     def rounds_of(self, js: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._points_arr, js, side="left") + 1

@@ -10,6 +10,7 @@ analysis independent of the data scale.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,17 +20,16 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class SgdProblem:
-    """Mutable single-run learning state.
+    """One generated least-squares instance.
 
     ``X`` is zero-padded so that the parallelism budget ``b`` divides the row
     count ``m``; padded rows carry zero labels and contribute nothing to any
-    gradient. ``s = m / b`` is the per-worker batch size and ``w`` is the
-    current model (updated in place by :func:`apply_update`).
+    gradient. ``s = m / b`` is the per-worker batch size and ``w0`` the
+    initial model; the run loop owns the current model.
     """
 
     X: np.ndarray
     y: np.ndarray
-    w: np.ndarray
     w0: np.ndarray
     eta: float
     b: int
@@ -96,20 +96,12 @@ def generate_problem(m: int, d: int, rng: np.random.Generator, *, b: int, eta: f
     return SgdProblem(
         X=X,
         y=y,
-        w=w0.copy(),
         w0=w0,
         eta=float(eta),
         b=int(b),
         s=(m + pad) // b,
         least_squares_target=target,
     )
-
-
-def loss(problem: SgdProblem, w: np.ndarray | None = None) -> float:
-    """Least-squares objective 0.5 * ||X w - y||^2."""
-    w = problem.w if w is None else w
-    resid = problem.X @ w - problem.y
-    return 0.5 * float(resid @ resid)
 
 
 def sample_batches(problem: SgdProblem, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -127,36 +119,24 @@ def sample_batches(problem: SgdProblem, count: int, rng: np.random.Generator) ->
     return np.argpartition(keys, problem.s - 1, axis=1)[:, : problem.s]
 
 
-def sample_batch(problem: SgdProblem, rng: np.random.Generator) -> np.ndarray:
-    """One batch of ``s`` distinct sample indices, uniform over subsets."""
-    return sample_batches(problem, 1, rng)[0]
+def batch_gradient(problem: SgdProblem, w: np.ndarray, batches: np.ndarray) -> np.ndarray:
+    """Summed gradient of the batch partial losses at ``w``, one batch per row.
+
+    Equals sum over batches of sum_{l in batch} x_l (x_l^T w - y_l). Sample l
+    contributes once per batch containing it, so the sum is X^T times the
+    occurrence-weighted full residual, with no row gather.
+    """
+    weights = np.bincount(batches.ravel(), minlength=problem.m).astype(np.float64)
+    resid = problem.X @ w
+    resid -= problem.y
+    resid *= weights
+    return resid @ problem.X
 
 
-def partial_gradient(problem: SgdProblem, batch) -> np.ndarray:
-    """Gradient of the batch partial sum: sum_{l in batch} x_l (x_l^T w - y_l)."""
-    batch = np.atleast_1d(np.asarray(batch, dtype=np.int64))
-    if batch.size == 0:
-        raise ValueError("batch must be non-empty")
-    rows = problem.X[batch]
-    return rows.T @ (rows @ problem.w - problem.y[batch])
-
-
-def apply_update(problem: SgdProblem, gradients, responsive_count: int) -> np.ndarray:
-    """Averaged mini-batch step: w <- w - eta / (responsive_count * s) * sum(gradients)."""
-    grads = np.asarray(gradients, dtype=np.float64)
-    if grads.ndim == 1:
-        grads = grads[None, :]
-    if grads.size == 0:
-        raise ValueError("need at least one gradient")
-    if grads.shape[0] != responsive_count:
-        raise ValueError(f"got {grads.shape[0]} gradients for responsive_count={responsive_count}")
-    problem.w = problem.w - (problem.eta / (responsive_count * problem.s)) * grads.sum(axis=0)
-    return problem.w
-
-
-def model_error(problem: SgdProblem) -> float:
-    """Euclidean distance between the model and the least-squares solution."""
-    return float(np.linalg.norm(problem.w - problem.least_squares_target))
+def model_error(problem: SgdProblem, w: np.ndarray) -> float:
+    """Euclidean distance between ``w`` and the least-squares solution."""
+    delta = w - problem.least_squares_target
+    return math.sqrt(float(delta @ delta))
 
 
 def convergence_bound(params: BoundParams, k: int, j: int) -> float:
@@ -196,7 +176,8 @@ def estimate_bound_params(problem: SgdProblem) -> BoundParams:
     mean_grad = problem.X.T @ resid0 / m
     mean_sq_norm = float(((resid0**2) * (problem.X**2).sum(axis=1)).mean())
     sigma2 = mean_sq_norm - float(mean_grad @ mean_grad)
-    initial_gap = (loss(problem, problem.w0) - loss(problem, problem.least_squares_target)) / m
+    resid_opt = problem.X @ problem.least_squares_target - problem.y
+    initial_gap = (0.5 * float(resid0 @ resid0) - 0.5 * float(resid_opt @ resid_opt)) / m
 
     params = BoundParams(
         lipschitz=lipschitz,

@@ -29,7 +29,7 @@ from banditsgd.harness import (
 )
 from banditsgd.latency import WorkerPool, expected_max
 from banditsgd.policies import PLAIN, BanditState, select_superarm_cmab, select_superarm_optimal
-from banditsgd.sgd import BoundParams, convergence_bound, generate_problem, partial_gradient, sample_batch
+from banditsgd.sgd import BoundParams, batch_gradient, convergence_bound, generate_problem, sample_batches
 from banditsgd.verify import empirical_mean_tail_rates, mc_max_mean
 
 from _oracles import brute_expected_max, central_difference_gradient
@@ -127,9 +127,9 @@ def test_c02_gradient_matches_finite_differences():
     """100 small problems: analytic batch gradient vs central differences, 1e-4 relative."""
     for i in range(100):
         problem = generate_problem(20, 5, np.random.default_rng(1000 + i), b=4, eta=1e-4)
-        batch = sample_batch(problem, np.random.default_rng(2000 + i))
-        analytic = partial_gradient(problem, batch)
-        numeric = central_difference_gradient(problem, batch)
+        batches = sample_batches(problem, 1, np.random.default_rng(2000 + i))
+        analytic = batch_gradient(problem, problem.w0, batches)
+        numeric = central_difference_gradient(problem, batches[0], problem.w0)
         denom = np.maximum(np.abs(analytic), 1e-6 * np.abs(analytic).max())
         rel = np.abs(analytic - numeric) / denom
         assert rel.max() <= 1e-4, f"problem {i}: worst relative error {rel.max():.2e}"

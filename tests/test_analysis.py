@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 from banditsgd.analysis import (
     completion_time_bound,
     compute_gaps,
-    delta_min_exhaustive,
     empirical_regret,
-    mean_regret_curve,
     regret_bound,
     regret_bound_curve,
     subgamma_tail,
@@ -22,6 +20,8 @@ from banditsgd.analysis import (
 from banditsgd.harness import ExperimentConfig, run_single
 from banditsgd.latency import WorkerPool
 from banditsgd.policies import RoundSchedule
+
+from _oracles import delta_min_exhaustive
 
 
 def bandit_only_config(**kw):
@@ -137,14 +137,6 @@ def test_regret_of_omniscient_policy_centers_on_zero():
     se = final.std(ddof=1) / math.sqrt(final.size)
     assert abs(final.mean()) <= 3 * se
     assert (curves < 0).any(), "single-run curves should dip below zero somewhere"
-
-
-def test_mean_regret_curve_shape():
-    cfg = bandit_only_config(seeds=(0, 1, 2))
-    traces = [run_single(cfg, "cmab-plain", s) for s in cfg.seeds]
-    pool = WorkerPool(traces[0].rates)
-    curve = mean_regret_curve(traces, pool, traces[0].schedule)
-    assert curve.shape == (traces[0].schedule.horizon,)
 
 
 def test_regret_trace_mismatch_faults():

@@ -86,6 +86,13 @@ def test_run_reports_faults_with_exit_code(tmp_path, cfg_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_missing_config_file_reports_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    rc = main(["run", "--config", missing, "--policy", "cmab-plain", "--seed", "0", "--out", str(tmp_path / "t.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{missing}'")
+
+
 def test_compare_writes_tables(tmp_path, cfg_file, capsys):
     out = tmp_path / "cmp"
     rc = main(["compare", "--config", cfg_file, "--out", str(out), "--seeds", "0,1"])

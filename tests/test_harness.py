@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,6 +21,11 @@ from banditsgd.harness import (
     write_trace_csv,
 )
 from banditsgd.policies import RoundSchedule
+from banditsgd.sgd import sample_batches
+
+from _oracles import apply_update, model_error, partial_gradient
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def small_config(**kw):
@@ -53,6 +59,9 @@ def test_config_validation():
         ExperimentConfig(schedule="10,20")  # b = 20 switching points expected
     with pytest.raises(ValueError):
         ExperimentConfig(schedule="a,b", b=2, n=4)
+    for bad in (dict(eta=0.0), dict(eta=-1e-4), dict(theta=0.0), dict(theta=-0.1), dict(m=0), dict(d=0)):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
 
 
 def test_config_distinct_grid_needs_enough_values():
@@ -105,6 +114,11 @@ def test_benchmark_config_shape():
     assert cfg.distinct_means
     sched = RoundSchedule(points)
     assert sched.budget == sum(r * 1000 for r in range(1, 20)) + 20 * 9000
+
+
+def test_benchmark_file_matches_benchmark_config():
+    from_file = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "benchmark.cfg"))
+    assert from_file.replace(out_dir=None) == benchmark_config()
 
 
 # ---------------------------------------------------------------- streams / pools
@@ -270,6 +284,7 @@ def test_run_comparison_tables(tmp_path):
     profile = result["employment_profiles"]["optimal"]
     assert np.all(profile[: cfg.b] > 0) and np.all(profile[cfg.b :] == 0)
     regret = result["regret"]["cmab-plain"]
+    assert regret["mean_regret"].shape == (60,)  # seed average of per-run regret curves
     assert "bound_tighter" in regret  # pinned, theorem-valid pool
     assert np.all(regret["bound_tighter"] <= regret["bound_log_iter"] + 1e-12)
     out = tmp_path / "out"
@@ -290,3 +305,24 @@ def test_problem_generation_uses_data_seed():
     p1 = build_problem(cfg, 0)
     p2 = build_problem(cfg, 1)
     np.testing.assert_array_equal(p1.X, p2.X)
+
+
+def test_fused_step_matches_unfused_replay():
+    # m = 61 is padded to 63 rows so that b = 3 divides it
+    cfg = small_config(m=61, d=8, eta=1e-3, seeds=(4,))
+    trace = run_single(cfg, "cmab-plain", 4)
+    problem = build_problem(cfg, 4)
+    rng = stream_rng(4, "batch-sampling")
+    w = problem.w0
+    replay = []
+    for r in trace.rounds:
+        batches = sample_batches(problem, int(r), rng)
+        w = apply_update(problem, w, [partial_gradient(problem, w, batch) for batch in batches], int(r))
+        replay.append(model_error(problem, w))
+    np.testing.assert_allclose(trace.model_errors, replay, rtol=1e-12)
+
+
+def test_diverging_run_fails_with_iteration():
+    cfg = ExperimentConfig(n=10, b=3, m=200, d=100, eta=1e-2, seeds=(0,), schedule="100,200,300")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"at iteration \d+"):
+        run_single(cfg, "cmab-plain", 0)

@@ -13,8 +13,6 @@ from banditsgd.latency import (
     expected_max,
     kth_order_response,
     member_responses,
-    sample_response,
-    superarm_response,
     variance_of_max,
 )
 from banditsgd.verify import mc_max_mean, mc_max_samples
@@ -38,41 +36,45 @@ def test_pool_validation():
     np.testing.assert_allclose(pool.means, [0.5, 1.0])
 
 
+# Single-worker draws go through member_responses with a one-member superarm,
+# which consumes exactly one variate per call.
+
+
 def test_sample_response_replay_and_positivity():
     pool = WorkerPool([1.0])
-    a = sample_response(pool, 0, np.random.default_rng(1234))
-    b = sample_response(pool, 0, np.random.default_rng(1234))
-    assert a == b
-    assert a > 0
+    a = member_responses(pool, [0], np.random.default_rng(1234))
+    b = member_responses(pool, [0], np.random.default_rng(1234))
+    assert a.shape == (1,) and a[0] == b[0]
+    assert a[0] > 0
 
 
 def test_sample_response_index_fault():
     pool = WorkerPool([1.0, 2.0])
     with pytest.raises(ValueError):
-        sample_response(pool, 2, np.random.default_rng(0))
+        member_responses(pool, [2], np.random.default_rng(0))
     with pytest.raises(ValueError):
-        sample_response(pool, -1, np.random.default_rng(0))
+        member_responses(pool, [-1], np.random.default_rng(0))
 
 
 def test_sample_response_empirical_mean():
     pool = WorkerPool([2.0])
     rng = np.random.default_rng(7)
-    draws = np.array([sample_response(pool, 0, rng) for _ in range(200_000)])
+    draws = np.array([member_responses(pool, [0], rng)[0] for _ in range(200_000)])
     assert abs(draws.mean() - 0.5) < 0.005
 
 
 def test_sample_response_survival_probability():
     pool = WorkerPool([10.0])
     rng = np.random.default_rng(8)
-    draws = np.array([sample_response(pool, 0, rng) for _ in range(200_000)])
+    draws = np.array([member_responses(pool, [0], rng)[0] for _ in range(200_000)])
     assert abs((draws > 0.1).mean() - math.exp(-1)) < 0.005
 
 
 def test_superarm_singleton_equals_single_draw():
     pool = WorkerPool([1.0, 3.0])
-    a = superarm_response(pool, [1], np.random.default_rng(5))
-    b = sample_response(pool, 1, np.random.default_rng(5))
-    assert a == b
+    a = member_responses(pool, [1], np.random.default_rng(5))
+    b = np.random.default_rng(5).exponential(pool.means[1])
+    assert a.shape == (1,) and a[0] == b
 
 
 def test_superarm_draw_accounting():
@@ -89,10 +91,10 @@ def test_superarm_draw_accounting():
 def test_superarm_empirical_means():
     rng = np.random.default_rng(21)
     pool = WorkerPool([1.0, 1.0])
-    draws = np.array([superarm_response(pool, [0, 1], rng) for _ in range(100_000)])
+    draws = np.array([member_responses(pool, [0, 1], rng).max() for _ in range(100_000)])
     assert abs(draws.mean() - 1.5) < 0.01
     pool2 = WorkerPool([2.0, 4.0])
-    draws2 = np.array([superarm_response(pool2, [0, 1], rng) for _ in range(100_000)])
+    draws2 = np.array([member_responses(pool2, [0, 1], rng).max() for _ in range(100_000)])
     assert abs(draws2.mean() - 7.0 / 12.0) < 0.005
 
 
@@ -100,11 +102,11 @@ def test_superarm_faults():
     pool = WorkerPool([1.0, 2.0])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        superarm_response(pool, [], rng)
+        member_responses(pool, [], rng)
     with pytest.raises(ValueError):
-        superarm_response(pool, [0, 0], rng)
+        member_responses(pool, [0, 0], rng)
     with pytest.raises(ValueError):
-        superarm_response(pool, [0, 5], rng)
+        member_responses(pool, [0, 5], rng)
 
 
 def test_kth_order_extremes_and_faults():

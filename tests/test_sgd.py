@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from banditsgd.sgd import (
     BoundParams,
     SgdProblem,
-    apply_update,
+    batch_gradient,
     convergence_bound,
     estimate_bound_params,
     generate_problem,
-    loss,
     model_error,
-    partial_gradient,
-    sample_batch,
     sample_batches,
 )
 
-from _oracles import central_difference_gradient
+import _oracles
+from _oracles import apply_update, central_difference_gradient, loss, partial_gradient
 
 
 def make_problem(m=40, d=5, b=4, eta=1e-5, seed=0):
@@ -31,7 +29,7 @@ def tiny_problem(X, y, w, eta=1.0, s=1, b=1):
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     target, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return SgdProblem(X=X, y=y, w=w.copy(), w0=w.copy(), eta=eta, b=b, s=s, least_squares_target=target)
+    return SgdProblem(X=X, y=y, w0=w.copy(), eta=eta, b=b, s=s, least_squares_target=target)
 
 
 def test_shapes_and_ranges():
@@ -61,7 +59,7 @@ def test_rank_deficient_faults():
 
 def test_batch_size_and_distinctness():
     p = make_problem(m=40, d=5, b=4)
-    batch = sample_batch(p, np.random.default_rng(2))
+    batch = sample_batches(p, 1, np.random.default_rng(2))[0]
     assert batch.size == p.s
     assert np.unique(batch).size == p.s
     assert batch.min() >= 0 and batch.max() < p.m
@@ -93,81 +91,79 @@ def test_batches_match_sequential_single_calls():
     p = make_problem(m=40, d=5, b=4)
     block = sample_batches(p, 3, np.random.default_rng(9))
     rng = np.random.default_rng(9)
-    singles = [sample_batch(p, rng) for _ in range(3)]
+    singles = [sample_batches(p, 1, rng)[0] for _ in range(3)]
     np.testing.assert_array_equal(block, np.stack(singles))
 
 
 def test_partial_gradient_hand_case():
     p = tiny_problem(X=[[2.0]], y=[4.0], w=[1.0])
-    assert partial_gradient(p, [0]) == pytest.approx(-4.0)
+    assert partial_gradient(p, p.w0, [0]) == pytest.approx(-4.0)
+    assert batch_gradient(p, p.w0, np.array([[0]])) == pytest.approx(-4.0)
 
 
 def test_partial_gradient_stationarity():
     p = make_problem()
-    p.w = p.least_squares_target.copy()
-    g = partial_gradient(p, np.arange(p.m))
-    assert np.linalg.norm(g) <= 1e-6 * np.linalg.norm(p.X.T @ p.y)
+    scale = 1e-6 * np.linalg.norm(p.X.T @ p.y)
+    assert np.linalg.norm(partial_gradient(p, p.least_squares_target, np.arange(p.m))) <= scale
+    assert np.linalg.norm(batch_gradient(p, p.least_squares_target, np.arange(p.m)[None, :])) <= scale
 
 
 def test_partial_gradient_partition_sums_to_full():
     p = make_problem(m=24, d=4, b=4)
-    full = partial_gradient(p, np.arange(p.m))
-    parts = sum(partial_gradient(p, np.arange(i, i + 6)) for i in range(0, 24, 6))
+    full = partial_gradient(p, p.w0, np.arange(p.m))
+    blocks = np.arange(24).reshape(4, 6)
+    parts = sum(partial_gradient(p, p.w0, block) for block in blocks)
     np.testing.assert_allclose(parts, full, rtol=1e-12)
+    np.testing.assert_allclose(batch_gradient(p, p.w0, blocks), full, rtol=1e-12)
 
 
 def test_partial_gradient_empty_faults():
     p = make_problem()
     with pytest.raises(ValueError):
-        partial_gradient(p, [])
+        partial_gradient(p, p.w0, [])
 
 
 def test_gradient_matches_central_differences():
     p = make_problem(m=20, d=5, b=4, seed=11)
-    batch = sample_batch(p, np.random.default_rng(12))
-    analytic = partial_gradient(p, batch)
-    numeric = central_difference_gradient(p, batch)
+    batches = sample_batches(p, 1, np.random.default_rng(12))
+    analytic = batch_gradient(p, p.w0, batches)
+    numeric = central_difference_gradient(p, batches[0], p.w0)
     denom = np.maximum(np.abs(analytic), 1e-6 * np.abs(analytic).max())
     assert np.all(np.abs(analytic - numeric) / denom <= 1e-4)
 
 
 def test_apply_update_cases():
     p = tiny_problem(X=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0], w=[5.0, 5.0])
-    w_before = p.w.copy()
-    apply_update(p, [np.zeros(2)], 1)
-    np.testing.assert_array_equal(p.w, w_before)
+    w = p.w0
+    np.testing.assert_array_equal(apply_update(p, w, [np.zeros(2)], 1), w)
 
     g = np.array([1.0, -2.0])
-    apply_update(p, [g], 1)
-    np.testing.assert_allclose(p.w, w_before - g)
-
-    p2 = tiny_problem(X=[[1.0, 0.0], [0.0, 1.0]], y=[1.0, 2.0], w=[5.0, 5.0])
-    apply_update(p2, [g, g], 2)
-    np.testing.assert_allclose(p2.w, w_before - g)  # averaging two equal gradients
+    np.testing.assert_allclose(apply_update(p, w, [g], 1), w - g)
+    np.testing.assert_allclose(apply_update(p, w, [g, g], 2), w - g)  # averaging two equal gradients
 
     with pytest.raises(ValueError):
-        apply_update(p, np.empty((0, 2)), 0)
+        apply_update(p, w, np.empty((0, 2)), 0)
     with pytest.raises(ValueError):
-        apply_update(p, [g], 2)
+        apply_update(p, w, [g], 2)
 
 
 def test_model_error_zero_at_target_and_permutation_invariant():
     p = make_problem(seed=5)
-    p.w = p.least_squares_target.copy()
-    assert model_error(p) == 0.0
+    assert model_error(p, p.least_squares_target) == 0.0
+    assert model_error(p, p.w0) == pytest.approx(_oracles.model_error(p, p.w0), rel=1e-12)
 
     q = make_problem(seed=5)
     perm = np.random.default_rng(6).permutation(q.m)
-    shuffled = tiny_problem(q.X[perm], q.y[perm], q.w, eta=q.eta, s=q.s, b=q.b)
-    assert model_error(shuffled) == pytest.approx(model_error(q), rel=1e-9)
+    shuffled = tiny_problem(q.X[perm], q.y[perm], q.w0, eta=q.eta, s=q.s, b=q.b)
+    assert model_error(shuffled, q.w0) == pytest.approx(model_error(q, q.w0), rel=1e-9)
 
 
 def test_full_batch_descent_reduces_error():
     p = make_problem(m=60, d=4, b=1, eta=1e-5, seed=8)
-    start = model_error(p)
+    w = p.w0
     for _ in range(50):
-        apply_update(p, [partial_gradient(p, np.arange(p.m))], 1)
-    assert model_error(p) < start
+        w = apply_update(p, w, [partial_gradient(p, w, np.arange(p.m))], 1)
+    assert model_error(p, w) < model_error(p, p.w0)
 
 
 def test_convergence_bound_values():

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 
 import numpy as np
 
 from . import analysis, harness, verify
 from .latency import WorkerPool
+
+logger = logging.getLogger(__name__)
 
 
 def _build_config(args) -> harness.ExperimentConfig:
@@ -176,6 +179,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # any other fault still gets a message and the exit code
+        logger.debug("unexpected fault in %s", args.command, exc_info=exc)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,6 +11,7 @@ seeds for experiments that average over a single environment.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -105,6 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.theta > 0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
+        if self.mc_lists < 1 or self.mc_samples < 1:
+            raise ValueError(f"need mc_lists >= 1 and mc_samples >= 1, got {self.mc_lists} and {self.mc_samples}")
         if self.worker_means is not None and len(self.worker_means) != self.n:
             raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
         self.switching_points()  # parse eagerly so bad values fail here
@@ -249,46 +252,82 @@ def policy_variant(policy: str, config: ExperimentConfig) -> RadiusVariant | Non
     return None
 
 
-def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
+@dataclass(eq=False)
+class SeedSetup:
+    """What every policy's run of one seed shares: pool, problem, schedule.
+
+    ``model_errors`` is the seed's learning trajectory. It is computed on
+    first use and then handed, read-only, to every policy's trace: the SGD
+    step reads only the batch stream and each iteration's ``r``, never the
+    chosen workers, so it is the same for every policy.
+    """
+
+    seed: int
+    pool: WorkerPool
+    problem: sgd.SgdProblem | None
+    schedule: RoundSchedule
+    params: sgd.BoundParams | None
+    rounds: np.ndarray
+
+    @classmethod
+    def build(cls, config: ExperimentConfig, seed: int) -> "SeedSetup":
+        pool = build_pool(config, seed)
+        problem = build_problem(config, seed) if config.simulate_sgd else None
+        schedule, params = resolve_schedule(config, problem)
+        if schedule.b != config.b:
+            raise ValueError(f"schedule has {schedule.b} rounds but config.b={config.b}")
+        rounds = schedule.rounds_of(np.arange(1, schedule.horizon + 1)).astype(np.int64)
+        rounds.flags.writeable = False
+        return cls(int(seed), pool, problem, schedule, params, rounds)
+
+    @functools.cached_property
+    def model_errors(self) -> np.ndarray:
+        """Model error per iteration (NaN when the run is latency-only)."""
+        if self.problem is None:
+            errors = np.full(self.rounds.size, np.nan)
+        else:
+            errors = sgd.run_trajectory(self.problem, self.rounds, stream_rng(self.seed, "batch-sampling"))
+        errors.flags.writeable = False
+        return errors
+
+
+def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetup | None = None) -> RunTrace:
     """Execute one seeded run of one policy over the full round schedule.
+
+    ``setup`` carries what the runs of one seed share (see ``SeedSetup``);
+    without it the run builds its own. The scheduling loop runs first, then
+    the learning trajectory, which comes from the setup.
 
     Per-iteration draw accounting (fixed so traces replay bit-exactly):
     bandit and omniscient runs consume r exponential variates (ascending
-    member order) from the latency stream and r*m uniforms from the batch
-    stream; the k-sync baseline consumes n exponentials (index order) and
-    r*m batch uniforms for the r used workers.
+    member order) from the latency stream, the k-sync baseline n (index
+    order); the learning trajectory consumes r*m uniforms from the batch
+    stream whatever the policy.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
-    pool = build_pool(config, seed)
-    problem = build_problem(config, seed) if config.simulate_sgd else None
-    schedule, params = resolve_schedule(config, problem)
-    if schedule.b != config.b:
-        raise ValueError(f"schedule has {schedule.b} rounds but config.b={config.b}")
+    if setup is None:
+        setup = SeedSetup.build(config, seed)
+    elif setup.seed != seed:
+        raise ValueError(f"setup was built for seed {setup.seed}, not {seed}")
+    pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
 
     latency_rng = stream_rng(seed, "worker-latency")
-    batch_rng = stream_rng(seed, "batch-sampling")
     variant = policy_variant(policy, config)
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
     horizon = schedule.horizon
-    rounds = schedule.rounds_of(np.arange(1, horizon + 1)).astype(np.int64)
 
     offsets = np.zeros(horizon + 1, dtype=np.int64)
     np.cumsum(rounds, out=offsets[1:])
     members = np.zeros(offsets[-1], dtype=np.int32)
     member_resp = np.zeros(offsets[-1], dtype=np.float64)
     times = np.zeros(horizon)
-    errors = np.full(horizon, np.nan)
     employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
 
     state = BanditState.zeros(n)
     ksync_sums = np.zeros(n, dtype=np.float64)
     optimal_sets = [select_superarm_optimal(pool, r) for r in range(1, schedule.b + 1)]
-
-    if problem is not None:
-        w = problem.w0.copy()
-        step_base = problem.eta / problem.s
 
     for j in range(1, horizon + 1):
         r = int(rounds[j - 1])
@@ -309,14 +348,6 @@ def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
         members[lo : lo + r] = arm
         member_resp[lo : lo + r] = resp
 
-        if problem is not None:
-            batches = sgd.sample_batches(problem, r, batch_rng)
-            w = w - (step_base / r) * sgd.batch_gradient(problem, w, batches)
-            err = sgd.model_error(problem, w)
-            if not math.isfinite(err):
-                raise ValueError(f"model error is {err} at iteration {j}; eta={config.eta} is too large to converge")
-            errors[j - 1] = err
-
     if is_ksync:
         pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)
     else:
@@ -325,7 +356,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
     metadata = {
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(config).items()},
         "schedule_mode": "explicit" if config.switching_points() is not None else "computed",
-        "bound_params": dataclasses.asdict(params) if params is not None else None,
+        "bound_params": dataclasses.asdict(setup.params) if setup.params is not None else None,
         "budget": schedule.budget,
         "worker_indexing": "0-based",
         "batch_scheme": "uniform without replacement per worker, independent across workers and iterations",
@@ -344,7 +375,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int) -> RunTrace:
         cum_times=np.cumsum(times),
         employments=employ,
         cum_employments=np.cumsum(employ),
-        model_errors=errors,
+        model_errors=setup.model_errors,
         member_offsets=offsets,
         members=members,
         member_responses=member_resp,
@@ -425,6 +456,10 @@ def error_at_employments(trace: RunTrace, budget: int) -> float:
 def run_comparison(config: ExperimentConfig):
     """Run every configured (policy, seed) pair and build the figure tables.
 
+    Each seed's ``SeedSetup`` (pool, problem, schedule, learning trajectory)
+    and round reference means are computed once and shared by every policy.
+    Computed schedules must agree across seeds; that is checked before any run.
+
     Returns a dict with per-policy seed-averaged error curves (indexed by
     iteration, wall-clock time, and cumulative employments), per-worker
     employment profiles sorted fastest to slowest, mean regret curves with
@@ -433,12 +468,12 @@ def run_comparison(config: ExperimentConfig):
     """
     if len(config.policies) < 2:
         raise ValueError("comparison needs at least two policies")
-    traces = {p: [run_single(config, p, s) for s in config.seeds] for p in config.policies}
-    for policy, runs in traces.items():
-        if any(t.schedule.switching_points != runs[0].schedule.switching_points for t in runs):
-            raise ValueError(
-                f"{policy}: computed schedules differ across seeds; pin data_seed or use an explicit schedule"
-            )
+    setups = [SeedSetup.build(config, s) for s in config.seeds]
+    if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
+        raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
+    traces = {p: [run_single(config, p, s.seed, s) for s in setups] for p in config.policies}
+    bandits = [p for p in traces if p in ("cmab", "cmab-plain", "cmab-scaled")]
+    references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
 
     error_curves = {}
     employment_profiles = {}
@@ -455,13 +490,15 @@ def run_comparison(config: ExperimentConfig):
         if policy != "adaptive-ksync":
             by_rank = [t.pulls[np.argsort(1.0 / t.rates, kind="stable")] for t in runs]
             employment_profiles[policy] = np.mean(by_rank, axis=0)
-        if policy in ("cmab", "cmab-plain", "cmab-scaled"):
+        if policy in bandits:
             identification[policy] = identify_fastest(runs)
-            pool = WorkerPool(runs[0].rates)
-            schedule = runs[0].schedule
+            pool = setups[0].pool
+            schedule = setups[0].schedule
             # regret of each run is measured against its own pool's optimum,
             # so per-seed pools average cleanly
-            per_run = [analysis.empirical_regret(t, WorkerPool(t.rates), t.schedule) for t in runs]
+            per_run = [
+                analysis.empirical_regret(t, s.pool, s.schedule, ref) for t, s, ref in zip(runs, setups, references)
+            ]
             table = {
                 "iter": np.arange(1, horizon + 1),
                 "mean_regret": np.mean(per_run, axis=0),

@@ -139,6 +139,27 @@ def model_error(problem: SgdProblem, w: np.ndarray) -> float:
     return math.sqrt(float(delta @ delta))
 
 
+def run_trajectory(problem: SgdProblem, rounds: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Model error after each iteration of mini-batch SGD started from ``w0``.
+
+    Iteration j (1-based) draws ``rounds[j-1]`` batches from ``rng`` and steps
+    by ``eta / (s * r)`` times their summed gradient. The trajectory reads only
+    ``rounds``, never which workers computed the batches. Raises
+    ``ValueError`` naming the first iteration whose model error is not finite.
+    """
+    errors = np.empty(len(rounds))
+    w = problem.w0.copy()
+    step_base = problem.eta / problem.s
+    for j, r in enumerate(rounds.tolist(), start=1):
+        batches = sample_batches(problem, r, rng)
+        w = w - (step_base / r) * batch_gradient(problem, w, batches)
+        err = model_error(problem, w)
+        if not math.isfinite(err):
+            raise ValueError(f"model error is {err} at iteration {j}; eta={problem.eta} is too large to converge")
+        errors[j - 1] = err
+    return errors
+
+
 def convergence_bound(params: BoundParams, k: int, j: int) -> float:
     """Expected-deviation bound after ``j`` iterations waiting for ``k`` workers.
 

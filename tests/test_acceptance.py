@@ -3,8 +3,8 @@
 Each test covers one exit criterion at its stated tolerance and prints a
 single pass line when it holds (run with ``pytest -s`` to see them; a failing
 criterion fails its test). The 50-worker benchmark runs are produced once per
-session by fixtures and shared across criteria, so the whole module completes
-in a few minutes.
+session by fixtures and shared across criteria, and the policies of one seed
+share its SGD trajectory, so the whole module completes in a few minutes.
 """
 
 import math
@@ -21,6 +21,7 @@ from banditsgd.analysis import (
 )
 from banditsgd.harness import (
     ExperimentConfig,
+    SeedSetup,
     benchmark_config,
     build_pool,
     error_at_employments,
@@ -48,18 +49,24 @@ def va_config():
 
 
 @pytest.fixture(scope="module")
-def va_plain(va_config):
-    return [run_single(va_config, "cmab-plain", s) for s in va_config.seeds]
+def va_setups(va_config):
+    """One setup per seed, so the three policies below share each SGD trajectory."""
+    return [SeedSetup.build(va_config, s) for s in va_config.seeds]
 
 
 @pytest.fixture(scope="module")
-def va_scaled(va_config):
-    return [run_single(va_config, "cmab-scaled", s) for s in va_config.seeds]
+def va_plain(va_config, va_setups):
+    return [run_single(va_config, "cmab-plain", s.seed, s) for s in va_setups]
 
 
 @pytest.fixture(scope="module")
-def va_ksync(va_config):
-    return [run_single(va_config, "adaptive-ksync", s) for s in va_config.seeds]
+def va_scaled(va_config, va_setups):
+    return [run_single(va_config, "cmab-scaled", s.seed, s) for s in va_setups]
+
+
+@pytest.fixture(scope="module")
+def va_ksync(va_config, va_setups):
+    return [run_single(va_config, "adaptive-ksync", s.seed, s) for s in va_setups]
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from banditsgd import harness
 from banditsgd.cli import main
 from banditsgd.harness import TRACE_HEADER
 
@@ -138,6 +139,44 @@ def test_verify_suite_passes(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert out.count("PASS") == 4 and "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [("--lists", "0", "--samples", "10"), ("--lists", "4", "--samples", "0"), ("--lists", "4", "--trials", "0")],
+)
+def test_verify_rejects_empty_sample_sizes(sizes, capsys):
+    rc = main(["verify", "--samples", "40000", "--trials", "100", *sizes])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_verify_too_few_samples_fails(capsys):
+    # fewer than 20 samples leave the order-statistic check without data
+    with pytest.warns(RuntimeWarning):
+        rc = main(["verify", "--lists", "4", "--samples", "10", "--trials", "100"])
+    assert rc == 1
+    assert "FAIL kth_order_response" in capsys.readouterr().out
+
+
+def test_unexpected_fault_reports_type_and_exit_code(tmp_path, cfg_file, capsys, monkeypatch):
+    argv = ["run", "--config", cfg_file, "--policy", "cmab-plain", "--seed", "0", "--out", str(tmp_path / "t.csv")]
+
+    def fault(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(harness, "run_single", fault)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: KeyError: 'boom'\n"
+
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(harness, "run_single", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
 
 
 def test_help_mentions_mandatory_flags(capsys):

@@ -7,9 +7,11 @@ import os
 import numpy as np
 import pytest
 
+from banditsgd import sgd
 from banditsgd.harness import (
     TRACE_HEADER,
     ExperimentConfig,
+    SeedSetup,
     benchmark_config,
     build_pool,
     build_problem,
@@ -59,7 +61,16 @@ def test_config_validation():
         ExperimentConfig(schedule="10,20")  # b = 20 switching points expected
     with pytest.raises(ValueError):
         ExperimentConfig(schedule="a,b", b=2, n=4)
-    for bad in (dict(eta=0.0), dict(eta=-1e-4), dict(theta=0.0), dict(theta=-0.1), dict(m=0), dict(d=0)):
+    for bad in (
+        dict(eta=0.0),
+        dict(eta=-1e-4),
+        dict(theta=0.0),
+        dict(theta=-0.1),
+        dict(m=0),
+        dict(d=0),
+        dict(mc_lists=0),
+        dict(mc_samples=0),
+    ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
 
@@ -293,6 +304,39 @@ def test_run_comparison_tables(tmp_path):
     assert (out / "error_curve_adaptive-ksync.csv").exists()
     assert (out / "regret_cmab-plain.csv").exists()
     assert (out / "employments_optimal.csv").exists()
+
+
+def test_run_comparison_shares_one_trajectory_per_seed(monkeypatch):
+    cfg = small_config(seeds=(0, 1))
+    calls = []
+    original = sgd.sample_batches
+
+    def counting(problem, count, rng):
+        calls.append(count)
+        return original(problem, count, rng)
+
+    monkeypatch.setattr(sgd, "sample_batches", counting)
+    result = run_comparison(cfg)
+    horizon = RoundSchedule(cfg.switching_points()).horizon
+    assert len(calls) == horizon * len(cfg.seeds)
+    monkeypatch.undo()
+    for policy, runs in result["traces"].items():
+        for trace, seed in zip(runs, cfg.seeds):
+            assert np.array_equal(trace.model_errors, run_single(cfg, policy, seed).model_errors)
+            assert not trace.model_errors.flags.writeable
+            assert trace.model_errors is result["traces"][cfg.policies[0]][cfg.seeds.index(seed)].model_errors
+    with pytest.raises(ValueError, match="seed 0"):
+        run_single(cfg, "optimal", 1, SeedSetup.build(cfg, 0))
+
+
+def test_computed_schedules_must_agree_before_any_run(monkeypatch):
+    def no_sgd(*args, **kwargs):
+        raise RuntimeError("a run started")
+
+    monkeypatch.setattr(sgd, "sample_batches", no_sgd)
+    cfg = small_config(schedule="computed", eta=1e-3, seeds=(0, 1))
+    with pytest.raises(ValueError, match="computed schedules differ across seeds"):
+        run_comparison(cfg)
 
 
 def test_run_comparison_needs_two_policies():

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .latency import WorkerPool, expected_max, variance_of_max
+from .latency import WorkerPool, expected_max, max_moments
 from .policies import RoundSchedule, select_superarm_optimal
 
 logger = logging.getLogger(__name__)
@@ -19,15 +19,17 @@ class GapReport:
     """Per-round expected-time gaps of a pool under a round schedule.
 
     ``optimal_means[r-1]`` is the expected completion time of the best
-    size-r superarm, ``worst_means[r-1]`` of the worst, and their difference
-    is ``delta_max[r-1]``. ``position_gaps[v-1]`` is the smallest amount by
-    which any employable v-th fastest choice can exceed the optimal v-th mean
-    (infinity when no strictly slower choice exists); ``delta_min`` is the
-    minimum over positions.
+    size-r superarm and ``optimal_variances[r-1]`` its variance,
+    ``worst_means[r-1]`` the expected completion time of the worst, and
+    ``delta_max[r-1]`` the difference of the two means. ``position_gaps[v-1]``
+    is the smallest amount by which any employable v-th fastest choice can
+    exceed the optimal v-th mean (infinity when no strictly slower choice
+    exists); ``delta_min`` is the minimum over positions.
     """
 
     optimal_superarms: tuple
     optimal_means: np.ndarray
+    optimal_variances: np.ndarray
     worst_means: np.ndarray
     delta_max: np.ndarray
     position_gaps: np.ndarray
@@ -49,12 +51,13 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
         raise ValueError(f"schedule has {b} rounds but the pool only {pool.n} workers")
     optimal_superarms = []
     optimal_means = np.empty(b)
+    optimal_variances = np.empty(b)
     worst_means = np.empty(b)
     slow_order = np.argsort(pool.means, kind="stable")[::-1]
     for r in range(1, b + 1):
         best = select_superarm_optimal(pool, r)
         optimal_superarms.append(best)
-        optimal_means[r - 1] = expected_max(pool.rates[best])
+        optimal_means[r - 1], optimal_variances[r - 1] = max_moments(pool.rates[best])
         worst_means[r - 1] = expected_max(pool.rates[np.sort(slow_order[:r])])
     delta_max = worst_means - optimal_means
 
@@ -70,6 +73,7 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     return GapReport(
         optimal_superarms=tuple(optimal_superarms),
         optimal_means=optimal_means,
+        optimal_variances=optimal_variances,
         worst_means=worst_means,
         delta_max=delta_max,
         position_gaps=position_gaps,
@@ -151,6 +155,15 @@ def empirical_regret(
     return trace.cum_times - baseline
 
 
+def _gaps_for(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None) -> GapReport:
+    """The given gap report, checked against the schedule, or a fresh one."""
+    if gaps is None:
+        return compute_gaps(pool, schedule)
+    if gaps.optimal_means.size != schedule.b:
+        raise ValueError(f"gap report covers {gaps.optimal_means.size} rounds but the schedule has {schedule.b}")
+    return gaps
+
+
 def regret_bound(
     pool: WorkerPool,
     schedule: RoundSchedule,
@@ -172,8 +185,7 @@ def regret_bound(
         raise ValueError("iteration must be >= 1")
     if not pool.theorem_valid:
         raise ValueError("regret bound requires every worker rate >= 1 (rescale time units)")
-    if gaps is None:
-        gaps = compute_gaps(pool, schedule)
+    gaps = _gaps_for(pool, schedule, gaps)
     if gaps.delta_min == 0:
         raise ValueError("regret bound undefined for delta_min = 0")
     points = schedule.switching_points
@@ -192,7 +204,7 @@ def regret_bound(
 
 
 def regret_bound_curve(pool, schedule, js, **kwargs) -> np.ndarray:
-    gaps = kwargs.pop("gaps", None) or compute_gaps(pool, schedule)
+    gaps = _gaps_for(pool, schedule, kwargs.pop("gaps", None))
     return np.array([regret_bound(pool, schedule, float(j), gaps=gaps, **kwargs) for j in js])
 
 
@@ -202,6 +214,8 @@ def completion_time_bound(
     j: int,
     regret: float,
     epsilon: float,
+    *,
+    gaps: GapReport | None = None,
 ) -> tuple[float, float]:
     """Upper bound on the wall-clock time to reach iteration j, with confidence.
 
@@ -210,11 +224,13 @@ def completion_time_bound(
     (1 - var_opt / (mu_opt^2 * length * epsilon^2)), each factor following
     from Chebyshev's inequality on the round's summed response times. Factors
     that go negative (rounds too short for the variance) are clamped to zero.
+    ``mu_opt`` and ``var_opt`` are read from ``gaps``, computed when not given.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be > 0")
     if j < 1:
         raise ValueError("iteration must be >= 1")
+    gaps = _gaps_for(pool, schedule, gaps)
     time_bound = float(regret)
     prob = 1.0
     clamped = 0
@@ -223,9 +239,8 @@ def completion_time_bound(
         if j <= prev:
             break
         length = min(j, t_r) - prev
-        best = select_superarm_optimal(pool, r)
-        mu = expected_max(pool.rates[best])
-        var = variance_of_max(pool.rates[best])
+        mu = float(gaps.optimal_means[r - 1])
+        var = float(gaps.optimal_variances[r - 1])
         time_bound += mu * length * (1.0 + epsilon)
         factor = 1.0 - var / (mu * mu * length * epsilon * epsilon)
         if factor < 0.0:

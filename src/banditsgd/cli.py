@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -100,7 +101,7 @@ def _cmd_bounds(args) -> int:
             regret = args.regret
             if regret is None:
                 regret = row.get("bound_tighter", 0.0)
-            time_bound, prob = analysis.completion_time_bound(pool, schedule, j, regret, eps)
+            time_bound, prob = analysis.completion_time_bound(pool, schedule, j, regret, eps, gaps=gaps)
             payload["time_bounds"].append(
                 {"iter": j, "epsilon": eps, "regret": regret, "time_bound": time_bound, "probability": prob}
             )
@@ -131,6 +132,25 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level):
+    """Show the package's log records at ``level`` and above on stderr; no-op for None."""
+    if level is None:
+        yield
+        return
+    package = logging.getLogger(__package__)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = package.level
+    package.addHandler(handler)
+    package.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(saved)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="banditsgd",
@@ -142,6 +162,9 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--schedule", help="'computed' or comma-separated switching points")
         p.add_argument("--variant", choices=("plain", "scaled"), help="radius variant for the bare 'cmab' policy")
+        p.add_argument(
+            "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
+        )
 
     p_run = sub.add_parser("run", help="run one policy/seed and write its trace CSV")
     add_common(p_run)
@@ -175,15 +198,16 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_cmd_verify)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # any other fault still gets a message and the exit code
-        logger.debug("unexpected fault in %s", args.command, exc_info=exc)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    with _log_to_stderr(args.log_level):
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # any other fault still gets a message and the exit code
+            logger.debug("unexpected fault in %s", args.command, exc_info=exc)
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

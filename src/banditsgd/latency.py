@@ -112,11 +112,13 @@ def _validated_rates(rates) -> np.ndarray:
     return arr
 
 
-def _inclusion_exclusion_sum(rates: np.ndarray, power: int) -> float:
-    """Sum over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^power.
+def _inclusion_exclusion_sum(rates: np.ndarray, second: bool = False) -> tuple[float, float]:
+    """Sums over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^p.
 
-    Enumerates subsets by binary counting over the low ``_CHUNK_BITS`` indices
-    and loops over the high indices, bounding memory at 2^_CHUNK_BITS floats.
+    Returns the p=1 sum and, when ``second`` is set, the p=2 sum (else 0.0),
+    both from one enumeration of the subset sums. Enumerates subsets by
+    binary counting over the low ``_CHUNK_BITS`` indices and loops over the
+    high indices, bounding memory at a few arrays of 2^_CHUNK_BITS floats.
     """
     n_low = min(rates.size, _CHUNK_BITS)
     size_low = 1 << n_low
@@ -128,37 +130,39 @@ def _inclusion_exclusion_sum(rates: np.ndarray, power: int) -> float:
         low_parity[step : 2 * step] = -low_parity[:step]
 
     high_rates = rates[n_low:]
-    total = 0.0
+    total1 = total2 = 0.0
     for hmask in range(1 << high_rates.size):
         if hmask == 0:
-            hsum, hparity = 0.0, 1.0
+            # skip the empty set once; the high part adds nothing to the sums
+            sums, parity, hparity = low_sums[1:], low_parity[1:], 1.0
         else:
             bits = [i for i in range(high_rates.size) if hmask >> i & 1]
-            hsum = float(high_rates[bits].sum())
+            sums = low_sums + float(high_rates[bits].sum())
+            parity = low_parity
             hparity = -1.0 if len(bits) % 2 else 1.0
-        sums = low_sums + hsum
-        start = 1 if hmask == 0 else 0  # skip the empty set once
-        terms = low_parity[start:] / (sums[start:] ** power if power != 1 else sums[start:])
         # (-1)^(|S|-1) = -(-1)^(|S|)
-        total -= hparity * float(terms.sum())
-    return total
+        total1 -= hparity * float((parity / sums).sum())
+        if second:
+            terms = sums**2
+            total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
+    return total1, total2
+
+
+def max_moments(rates) -> tuple[float, float]:
+    """Exact mean and variance of the maximum of independent exponentials.
+
+    E[max] = sum over non-empty subsets S of (-1)^(|S|-1) / sum_{i in S} rates_i
+    and E[max^2] = the same sum with 2 / (sum rates)^2, from one enumeration.
+    """
+    mean, second = _inclusion_exclusion_sum(_validated_rates(rates), second=True)
+    return mean, max(2.0 * second - mean * mean, 0.0)
 
 
 def expected_max(rates) -> float:
-    """Exact mean of the maximum of independent exponentials.
-
-    E[max] = sum over non-empty subsets S of (-1)^(|S|-1) / sum_{i in S} rates_i.
-    """
-    arr = _validated_rates(rates)
-    return _inclusion_exclusion_sum(arr, 1)
+    """Exact mean of the maximum of independent exponentials (see ``max_moments``)."""
+    return _inclusion_exclusion_sum(_validated_rates(rates))[0]
 
 
 def variance_of_max(rates) -> float:
-    """Exact variance of the maximum of independent exponentials.
-
-    Uses E[max^2] = sum over non-empty subsets S of (-1)^(|S|-1) * 2 / (sum rates)^2.
-    """
-    arr = _validated_rates(rates)
-    mean = _inclusion_exclusion_sum(arr, 1)
-    second_moment = 2.0 * _inclusion_exclusion_sum(arr, 2)
-    return max(second_moment - mean * mean, 0.0)
+    """Exact variance of the maximum of independent exponentials (see ``max_moments``)."""
+    return max_moments(rates)[1]

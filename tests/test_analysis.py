@@ -18,8 +18,8 @@ from banditsgd.analysis import (
     subgaussian_tail,
 )
 from banditsgd.harness import ExperimentConfig, run_single
-from banditsgd.latency import WorkerPool
-from banditsgd.policies import RoundSchedule
+from banditsgd.latency import WorkerPool, expected_max, variance_of_max
+from banditsgd.policies import RoundSchedule, select_superarm_optimal
 
 from _oracles import delta_min_exhaustive
 
@@ -55,6 +55,22 @@ def test_gap_report_hand_case():
     assert gaps.delta_max[0] == pytest.approx(0.75)
     assert gaps.delta_max[1] == pytest.approx(0.58333333333, rel=1e-9)
     assert gaps.delta_min == pytest.approx(0.25)
+
+
+def twelve_worker_pool():
+    """12 workers, means on a 0.07 grid below one time unit, under a 6-round schedule."""
+    means = np.random.default_rng(12).permutation(np.arange(12) * 0.07 + 0.1)
+    return WorkerPool(1.0 / means), RoundSchedule((4, 9, 15, 22, 30, 40))
+
+
+def test_gap_report_optimal_moments_are_exact():
+    pool, sched = twelve_worker_pool()
+    gaps = compute_gaps(pool, sched)
+    assert gaps.optimal_variances.shape == (sched.b,)
+    for r in range(1, sched.b + 1):
+        best = pool.rates[select_superarm_optimal(pool, r)]
+        assert gaps.optimal_means[r - 1] == expected_max(best)
+        assert gaps.optimal_variances[r - 1] == variance_of_max(best)
 
 
 def test_gap_report_identical_means():
@@ -203,6 +219,39 @@ def test_completion_time_bound_single_round_factor():
     bound, prob = completion_time_bound(pool, RoundSchedule((1,)), 1, 0.0, 2.0)
     assert prob == pytest.approx(0.75)
     assert bound == pytest.approx(1.0 * 1 * 3.0)  # mu * length * (1 + eps)
+
+
+def test_completion_time_bound_reads_gap_report():
+    pool, sched = twelve_worker_pool()
+    gaps = compute_gaps(pool, sched)
+    for j in sched.switching_points:
+        for eps in (0.5, 1.0, 2.0):
+            shared = completion_time_bound(pool, sched, j, 3.0, eps, gaps=gaps)
+            assert shared == completion_time_bound(pool, sched, j, 3.0, eps)
+            assert all(type(value) is float for value in shared)
+            # the per-round optimal moments, enumerated afresh at each started round
+            time_bound, prob, prev = 3.0, 1.0, 0
+            for r, t_r in enumerate(sched.switching_points, start=1):
+                if j <= prev:
+                    break
+                best = pool.rates[select_superarm_optimal(pool, r)]
+                mu, var = expected_max(best), variance_of_max(best)
+                length = min(j, t_r) - prev
+                time_bound += mu * length * (1.0 + eps)
+                prob *= max(1.0 - var / (mu * mu * length * eps * eps), 0.0)
+                prev = t_r
+            assert shared == (time_bound, prob)
+
+
+def test_bounds_reject_gap_report_of_another_schedule():
+    pool, sched = twelve_worker_pool()
+    short = compute_gaps(pool, RoundSchedule(sched.switching_points[:3]))
+    with pytest.raises(ValueError, match="covers 3 rounds but the schedule has 6"):
+        regret_bound(pool, sched, 30, gaps=short)
+    with pytest.raises(ValueError, match="covers 3 rounds"):
+        regret_bound_curve(pool, sched, [10, 30], gaps=short)
+    with pytest.raises(ValueError, match="covers 3 rounds"):
+        completion_time_bound(pool, sched, 30, 0.0, 1.0, gaps=short)
 
 
 def test_completion_time_probability_approaches_one():

@@ -128,6 +128,19 @@ def test_bounds_emits_json(tmp_path, capsys):
     assert payload["regret_bounds"][0]["bound_tighter"] > 0
 
 
+def test_log_level_surfaces_library_warnings(tmp_path, capsys):
+    # a one-iteration round at eps=0.5 makes the Chebyshev factor negative
+    argv = ["bounds", "--rates", "1", "--config", _mini_cfg(tmp_path, "n = 1\nb = 1\nschedule = 1\n"), "--eps", "0.5"]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main([*argv, "--log-level", "info"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert "WARNING banditsgd.analysis: completion_time_bound: 1 round factor(s) clamped to 0" in loud.err
+    assert main([*argv, "--log-level", "error"]) == 0
+    assert "clamped" not in capsys.readouterr().err
+
+
 def _mini_cfg(tmp_path, text):
     path = tmp_path / "mini.cfg"
     path.write_text(text)

@@ -12,6 +12,7 @@ from banditsgd.latency import (
     WorkerPool,
     expected_max,
     kth_order_response,
+    max_moments,
     member_responses,
     variance_of_max,
 )
@@ -171,10 +172,22 @@ def test_expected_max_iid_harmonic_form(lam, r):
 
 def test_expected_max_chunked_enumeration(monkeypatch):
     rates = np.linspace(0.3, 9.0, 8)
-    reference = expected_max(rates)
-    monkeypatch.setattr(latency, "_CHUNK_BITS", 3)
-    assert expected_max(rates) == pytest.approx(reference, rel=1e-12)
-    assert variance_of_max(rates) == pytest.approx(variance_of_max(np.array(rates)), rel=1e-12)
+    mean, var = expected_max(rates), variance_of_max(rates)  # one chunk, no high mask
+    monkeypatch.setattr(latency, "_CHUNK_BITS", 3)  # 2^5 high masks of 2^3 low sums
+    assert expected_max(rates) == pytest.approx(mean, rel=1e-12)
+    assert variance_of_max(rates) == pytest.approx(var, rel=1e-12)
+    chunked = max_moments(rates)
+    assert chunked == pytest.approx((mean, var), rel=1e-12)
+    assert chunked == (expected_max(rates), variance_of_max(rates))
+
+
+@given(rate_lists)
+@settings(max_examples=60, deadline=None)
+def test_max_moments_is_both_moments_from_one_enumeration(rates):
+    mean, var = max_moments(rates)
+    assert (mean, var) == (expected_max(rates), variance_of_max(rates))
+    assert mean == pytest.approx(brute_expected_max(rates), rel=1e-9, abs=1e-12)
+    assert var == pytest.approx(brute_variance_of_max(rates), rel=1e-8, abs=1e-10)
 
 
 def test_variance_closed_cases():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -12,6 +13,9 @@ from .latency import WorkerPool, expected_max, max_moments
 from .policies import RoundSchedule, select_superarm_optimal
 
 logger = logging.getLogger(__name__)
+
+# The additive constant per started round in the worst-case regret bound.
+TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,11 @@ class RunTrace:
 
     policy: str
     seed: int
-    variant: str | None
     schedule: RoundSchedule
     rates: np.ndarray
     rounds: np.ndarray
     response_times: np.ndarray
-    cum_times: np.ndarray
     employments: np.ndarray
-    cum_employments: np.ndarray
     model_errors: np.ndarray
     member_offsets: np.ndarray
     members: np.ndarray
@@ -108,11 +109,22 @@ class RunTrace:
     pulls: np.ndarray
     response_sums: np.ndarray
     suboptimal_pulls: np.ndarray
-    suboptimal_count: int
     metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.rounds.size)
+
+    @functools.cached_property
+    def cum_times(self) -> np.ndarray:
+        return np.cumsum(self.response_times)
+
+    @functools.cached_property
+    def cum_employments(self) -> np.ndarray:
+        return np.cumsum(self.employments)
+
+    @functools.cached_property
+    def suboptimal_count(self) -> int:
+        return int(self.suboptimal_pulls.sum())
 
     def superarm_at(self, j: int) -> np.ndarray:
         return self.members[self.member_offsets[j - 1] : self.member_offsets[j]]
@@ -194,18 +206,32 @@ def regret_bound(
     delta_term = float(gaps.delta_max[:u].max())
     log_val = math.log(min(j, points[-1])) if log_truncated else math.log(j)
     denom = min(gaps.delta_min**2, gaps.delta_min)
-    if tail_term == "pi2/3":
-        tail = math.pi**2 / 3.0
-    elif tail_term == "pi/3":
-        tail = math.pi / 3.0
-    else:
-        raise ValueError(f"unknown tail_term {tail_term!r}")
-    return delta_term * pool.n * (48.0 * log_val / denom + 1.0 + u * tail)
+    if tail_term not in TAIL_TERMS:
+        raise ValueError(f"unknown tail_term {tail_term!r}; choose from {tuple(TAIL_TERMS)}")
+    return delta_term * pool.n * (48.0 * log_val / denom + 1.0 + u * TAIL_TERMS[tail_term])
 
 
 def regret_bound_curve(pool, schedule, js, **kwargs) -> np.ndarray:
     gaps = _gaps_for(pool, schedule, kwargs.pop("gaps", None))
     return np.array([regret_bound(pool, schedule, float(j), gaps=gaps, **kwargs) for j in js])
+
+
+def regret_bound_table(
+    pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None, tail_term: str = "pi2/3"
+) -> dict | None:
+    """The worst-case bound at iterations ``js`` in both logarithm forms and their minimum.
+
+    None when the bound does not apply: it needs every rate >= 1 and a
+    positive, finite minimum gap.
+    """
+    if not pool.theorem_valid:
+        return None
+    gaps = _gaps_for(pool, schedule, gaps)
+    if not 0.0 < gaps.delta_min < math.inf:
+        return None
+    plain = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term)
+    truncated = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term, log_truncated=True)
+    return {"bound_log_iter": plain, "bound_log_truncated": truncated, "bound_tighter": np.minimum(plain, truncated)}
 
 
 def completion_time_bound(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import sys
@@ -17,12 +18,10 @@ logger = logging.getLogger(__name__)
 
 
 def _build_config(args) -> harness.ExperimentConfig:
-    overrides = {}
-    for key in ("schedule", "variant", "out_dir", "seeds", "policies"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "config", None):
+    """The config file (if any), overridden by every given flag whose dest is a config field."""
+    fields = {f.name for f in dataclasses.fields(harness.ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    if args.config:
         return harness.ExperimentConfig.from_file(args.config, **overrides)
     return harness.ExperimentConfig.from_mapping(overrides)
 
@@ -83,19 +82,11 @@ def _cmd_bounds(args) -> int:
         "regret_bounds": [],
         "time_bounds": [],
     }
-    bound_ok = pool.theorem_valid and 0.0 < gaps.delta_min < float("inf")
-    for j in js:
+    table = analysis.regret_bound_table(pool, schedule, js, gaps=gaps, tail_term=config.bound_tail_term)
+    for i, j in enumerate(js):
         row = {"iter": j}
-        if bound_ok:
-            plain = analysis.regret_bound(pool, schedule, j, gaps=gaps, tail_term=config.bound_tail_term)
-            truncated = analysis.regret_bound(
-                pool, schedule, j, gaps=gaps, tail_term=config.bound_tail_term, log_truncated=True
-            )
-            row.update(
-                bound_log_iter=plain,
-                bound_log_truncated=truncated,
-                bound_tighter=min(plain, truncated),
-            )
+        if table is not None:
+            row.update((name, float(column[i])) for name, column in table.items())
         payload["regret_bounds"].append(row)
         for eps in eps_grid:
             regret = args.regret
@@ -105,7 +96,7 @@ def _cmd_bounds(args) -> int:
             payload["time_bounds"].append(
                 {"iter": j, "epsilon": eps, "regret": regret, "time_bound": time_bound, "probability": prob}
             )
-    if not bound_ok:
+    if table is None:
         payload["regret_bound_note"] = (
             "regret bound skipped: needs every rate >= 1 and a positive finite minimum gap"
         )

@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ class ExperimentConfig:
     m: int = 2000
     d: int = 100
     eta: float = 1e-4
-    seeds: tuple = tuple(range(10))
-    policies: tuple = ("cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync")
+    seeds: tuple[int, ...] = tuple(range(10))
+    policies: tuple[str, ...] = ("cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync")
     variant: str = "plain"
     schedule: str = "computed"
     theta: float = 0.1
@@ -76,7 +77,7 @@ class ExperimentConfig:
     mean_max: float = 0.9
     mean_step: float = 0.1
     distinct_means: bool = False
-    worker_means: tuple | None = None
+    worker_means: tuple[float, ...] | None = None
     pool_seed: int | None = None
     data_seed: int | None = None
     simulate_sgd: bool = True
@@ -108,8 +109,14 @@ class ExperimentConfig:
             raise ValueError(f"theta must be > 0, got {self.theta}")
         if self.mc_lists < 1 or self.mc_samples < 1:
             raise ValueError(f"need mc_lists >= 1 and mc_samples >= 1, got {self.mc_lists} and {self.mc_samples}")
-        if self.worker_means is not None and len(self.worker_means) != self.n:
-            raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
+        if self.bound_tail_term not in analysis.TAIL_TERMS:
+            choices = tuple(analysis.TAIL_TERMS)
+            raise ValueError(f"unknown bound_tail_term {self.bound_tail_term!r}; choose from {choices}")
+        if self.worker_means is not None:
+            if len(self.worker_means) != self.n:
+                raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
+            if not all(math.isfinite(v) and v > 0 for v in self.worker_means):
+                raise ValueError(f"worker_means must all be finite and > 0, got {self.worker_means}")
         self.switching_points()  # parse eagerly so bad values fail here
 
     def switching_points(self) -> tuple | None:
@@ -137,6 +144,10 @@ class ExperimentConfig:
     def replace(self, **changes) -> "ExperimentConfig":
         return dataclasses.replace(self, **changes)
 
+    def as_dict(self) -> dict:
+        """Field values with tuples as lists, as serialized to JSON."""
+        return {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(self).items()}
+
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """Parse a flat key=value text file ('#' starts a comment)."""
@@ -155,40 +166,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        """Build from field values; strings are parsed by the field's annotation."""
+        hints = typing.get_type_hints(cls)
         kwargs = {}
         for key, value in values.items():
-            if key not in fields:
+            if key not in hints:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, value)
+            try:
+                kwargs[key] = _coerce(value, hints[key])
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         return cls(**kwargs)
 
 
-def _coerce(key: str, value):
-    """Coerce a config-file string to the field's python type."""
+def _coerce(value, hint):
+    """Parse a config-file string as ``hint``: a scalar type, ``tuple[T, ...]`` or ``T | None``."""
     if not isinstance(value, str):
         return value
     text = value.strip()
-    if key in ("seeds", "policies"):
-        items = [tok.strip() for tok in text.split(",") if tok.strip()]
-        return tuple(int(tok) for tok in items) if key == "seeds" else tuple(items)
-    if key in ("pool_seed", "data_seed", "out_dir"):
-        return None if text.lower() in ("none", "") else (text if key == "out_dir" else int(text))
-    if key in ("distinct_means", "simulate_sgd", "write_traces"):
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if text.lower() in ("none", ""):
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return tuple(_coerce(tok, args[0]) for tok in text.split(",") if tok.strip())
+    if hint is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ValueError(f"config key {key!r} expects a boolean, got {text!r}")
-    if key == "worker_means":
-        if text.lower() in ("none", ""):
-            return None
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if key in ("n", "b", "m", "d", "j_cap", "mc_samples", "mc_lists"):
-        return int(text)
-    if key in ("eta", "theta", "mean_min", "mean_max", "mean_step"):
-        return float(text)
-    return text
+        raise ValueError(f"expects a boolean, got {text!r}")
+    return hint(text)
 
 
 def benchmark_config(**overrides) -> ExperimentConfig:
@@ -354,7 +364,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         pulls, sums, subopt = state.pulls, state.response_sums, state.suboptimal_pulls
 
     metadata = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(config).items()},
+        "config": config.as_dict(),
         "schedule_mode": "explicit" if config.switching_points() is not None else "computed",
         "bound_params": dataclasses.asdict(setup.params) if setup.params is not None else None,
         "budget": schedule.budget,
@@ -367,14 +377,11 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     return RunTrace(
         policy=policy,
         seed=int(seed),
-        variant=variant.tag if variant is not None else None,
         schedule=schedule,
         rates=pool.rates,
         rounds=rounds,
         response_times=times,
-        cum_times=np.cumsum(times),
         employments=employ,
-        cum_employments=np.cumsum(employ),
         model_errors=setup.model_errors,
         member_offsets=offsets,
         members=members,
@@ -382,39 +389,27 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         pulls=pulls.copy(),
         response_sums=sums.copy(),
         suboptimal_pulls=subopt.copy(),
-        suboptimal_count=int(subopt.sum()),
         metadata=metadata,
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Serialize a trace with the fixed header; one row per iteration."""
-    lines = [TRACE_HEADER]
-    offsets = trace.member_offsets
-    for j in range(1, len(trace) + 1):
-        arm = trace.members[offsets[j - 1] : offsets[j]]
-        lines.append(
-            ",".join(
-                (
-                    str(j),
-                    str(int(trace.rounds[j - 1])),
-                    trace.policy,
-                    str(trace.seed),
-                    "|".join(str(int(i)) for i in arm),
-                    _fmt(trace.response_times[j - 1]),
-                    _fmt(trace.cum_times[j - 1]),
-                    str(int(trace.employments[j - 1])),
-                    str(int(trace.cum_employments[j - 1])),
-                    _fmt(trace.model_errors[j - 1]),
-                )
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    horizon = len(trace)
+    members, offsets = trace.members.tolist(), trace.member_offsets.tolist()
+    columns = (
+        np.arange(1, horizon + 1),
+        trace.rounds,
+        [trace.policy] * horizon,
+        [trace.seed] * horizon,
+        ["|".join(map(str, members[lo:hi])) for lo, hi in zip(offsets, offsets[1:])],
+        trace.response_times,
+        trace.cum_times,
+        trace.employments,
+        trace.cum_employments,
+        trace.model_errors,
+    )
+    _write_table(path, dict(zip(TRACE_HEADER.split(","), columns)))
 
 
 @dataclass
@@ -472,15 +467,21 @@ def run_comparison(config: ExperimentConfig):
     if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
     traces = {p: [run_single(config, p, s.seed, s) for s in setups] for p in config.policies}
-    bandits = [p for p in traces if p in ("cmab", "cmab-plain", "cmab-scaled")]
+    bandits = [p for p in traces if policy_variant(p, config) is not None]
     references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
+    horizon = setups[0].schedule.horizon
+    bound = None
+    if bandits and config.pool_seed is not None:
+        # one pinned pool: the worst-case guarantee is the same for every bandit policy
+        bound = analysis.regret_bound_table(
+            setups[0].pool, setups[0].schedule, np.arange(1, horizon + 1), tail_term=config.bound_tail_term
+        )
 
     error_curves = {}
     employment_profiles = {}
     regret_tables = {}
     identification = {}
     for policy, runs in traces.items():
-        horizon = len(runs[0])
         error_curves[policy] = {
             "iter": np.arange(1, horizon + 1),
             "cum_time_mean": np.mean([t.cum_times for t in runs], axis=0),
@@ -492,31 +493,16 @@ def run_comparison(config: ExperimentConfig):
             employment_profiles[policy] = np.mean(by_rank, axis=0)
         if policy in bandits:
             identification[policy] = identify_fastest(runs)
-            pool = setups[0].pool
-            schedule = setups[0].schedule
             # regret of each run is measured against its own pool's optimum,
             # so per-seed pools average cleanly
             per_run = [
                 analysis.empirical_regret(t, s.pool, s.schedule, ref) for t, s, ref in zip(runs, setups, references)
             ]
-            table = {
+            regret_tables[policy] = {
                 "iter": np.arange(1, horizon + 1),
                 "mean_regret": np.mean(per_run, axis=0),
+                **(bound or {}),
             }
-            if config.pool_seed is not None and pool.theorem_valid:
-                gaps = analysis.compute_gaps(pool, schedule)
-                if 0.0 < gaps.delta_min < math.inf:
-                    js = np.arange(1, horizon + 1)
-                    plain_log = analysis.regret_bound_curve(
-                        pool, schedule, js, gaps=gaps, tail_term=config.bound_tail_term
-                    )
-                    truncated = analysis.regret_bound_curve(
-                        pool, schedule, js, gaps=gaps, tail_term=config.bound_tail_term, log_truncated=True
-                    )
-                    table["bound_log_iter"] = plain_log
-                    table["bound_log_truncated"] = truncated
-                    table["bound_tighter"] = np.minimum(plain_log, truncated)
-            regret_tables[policy] = table
 
     result = {
         "traces": traces,
@@ -533,7 +519,7 @@ def run_comparison(config: ExperimentConfig):
 
 def _summarize(config, traces, identification) -> dict:
     summary = {
-        "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(config).items()},
+        "config": config.as_dict(),
         "budget": next(iter(traces.values()))[0].schedule.budget,
         "policies": {},
     }
@@ -550,17 +536,18 @@ def _summarize(config, traces, identification) -> dict:
     return summary
 
 
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+
 def _write_table(path: str, columns: dict) -> None:
-    names = list(columns)
-    rows = len(next(iter(columns.values())))
+    """CSV with a header row; strings as given, integers as digits, floats as their repr."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in zip(*cols)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(rows):
-            cells = []
-            for name in names:
-                v = columns[name][i]
-                cells.append(str(int(v)) if isinstance(v, (int, np.integer)) else _fmt(v))
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:

@@ -53,33 +53,19 @@ def mc_max_variance(rates, samples: int, rng: np.random.Generator) -> tuple[floa
     return float(centered_sq.mean()), float(centered_sq.std(ddof=1) / math.sqrt(samples))
 
 
-def check_expected_max(lists: int, samples: int, rng: np.random.Generator) -> CheckResult:
+def check_closed_form(exact, sampled, lists: int, samples: int, rng: np.random.Generator) -> CheckResult:
+    """``exact(rates)`` against the Monte Carlo ``sampled(rates, samples, rng) -> (value, se)``
+    on ``lists`` random rate lists of 1 to 8 rates."""
     misses = 0
     for _ in range(lists):
         length = int(rng.integers(1, 9))
         rates = rng.uniform(0.5, 10.0, length)
-        mean, se = mc_max_mean(rates, samples, rng)
-        if not abs(expected_max(rates) - mean) <= 3.0 * se:
+        value, se = sampled(rates, samples, rng)
+        if not abs(exact(rates) - value) <= 3.0 * se:
             misses += 1
     allowed = max(1, math.ceil(0.01 * lists))
     return CheckResult(
-        "expected_max vs Monte Carlo",
-        misses <= allowed,
-        f"{misses}/{lists} outside 3 standard errors (allowed {allowed})",
-    )
-
-
-def check_variance_of_max(lists: int, samples: int, rng: np.random.Generator) -> CheckResult:
-    misses = 0
-    for _ in range(lists):
-        length = int(rng.integers(1, 9))
-        rates = rng.uniform(0.5, 10.0, length)
-        var, se = mc_max_variance(rates, samples, rng)
-        if not abs(variance_of_max(rates) - var) <= 3.0 * se:
-            misses += 1
-    allowed = max(1, math.ceil(0.01 * lists))
-    return CheckResult(
-        "variance_of_max vs Monte Carlo",
+        f"{exact.__name__} vs Monte Carlo",
         misses <= allowed,
         f"{misses}/{lists} outside 3 standard errors (allowed {allowed})",
     )
@@ -155,8 +141,8 @@ def oracle_suite(lists: int, samples: int, trials: int, seed: int) -> list[Check
             raise ValueError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     return [
-        check_expected_max(lists, samples, rng),
-        check_variance_of_max(max(lists // 2, 5), samples, rng),
+        check_closed_form(expected_max, mc_max_mean, lists, samples, rng),
+        check_closed_form(variance_of_max, mc_max_variance, max(lists // 2, 5), samples, rng),
         check_order_statistics(min(samples, 200_000) // 20, rng),
         check_tail_bounds(trials, rng),
     ]

@@ -14,6 +14,7 @@ from banditsgd.analysis import (
     empirical_regret,
     regret_bound,
     regret_bound_curve,
+    regret_bound_table,
     subgamma_tail,
     subgaussian_tail,
 )
@@ -204,6 +205,21 @@ def test_regret_bound_curve_matches_scalar():
     js = np.arange(1, 31)
     curve = regret_bound_curve(pool, sched, js)
     np.testing.assert_allclose(curve, [regret_bound(pool, sched, int(j)) for j in js], rtol=1e-12)
+
+
+def test_regret_bound_table_columns_and_applicability():
+    pool = WorkerPool([1.0, 1.5, 3.0])
+    sched = RoundSchedule((5, 12, 30))
+    js = np.arange(1, 41)
+    table = regret_bound_table(pool, sched, js, tail_term="pi/3")
+    plain = regret_bound_curve(pool, sched, js, tail_term="pi/3")
+    truncated = regret_bound_curve(pool, sched, js, tail_term="pi/3", log_truncated=True)
+    assert list(table) == ["bound_log_iter", "bound_log_truncated", "bound_tighter"]
+    np.testing.assert_array_equal(table["bound_log_iter"], plain)
+    np.testing.assert_array_equal(table["bound_log_truncated"], truncated)
+    np.testing.assert_array_equal(table["bound_tighter"], np.minimum(plain, truncated))
+    assert regret_bound_table(WorkerPool([0.5, 2.0]), RoundSchedule((5,)), js) is None  # a rate below 1
+    assert regret_bound_table(WorkerPool([2.0, 2.0]), RoundSchedule((6,)), js) is None  # no positive gap
 
 
 def test_regret_bound_identical_means_is_zero():

@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, flag overrides, exit codes."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from banditsgd import harness
+from banditsgd import analysis, harness
 from banditsgd.cli import main
 from banditsgd.harness import TRACE_HEADER
 
@@ -102,6 +106,54 @@ def test_compare_writes_tables(tmp_path, cfg_file, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["policies"]) == {"cmab-plain", "adaptive-ksync"}
     assert "tables ->" in capsys.readouterr().out
+
+
+def test_compare_bound_columns_match_bounds_command(tmp_path, monkeypatch):
+    path = _mini_cfg(tmp_path, CFG_TEXT + "pool_seed = 4\npolicies = cmab-plain, cmab-scaled, optimal\n")
+    calls = []
+    original = analysis.compute_gaps
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "compute_gaps", counting)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 1  # one gap report for both bandit policies
+    monkeypatch.undo()
+    assert main(["bounds", "--config", path, "--out", str(tmp_path / "bounds.json")]) == 0
+    rows = json.loads((tmp_path / "bounds.json").read_text())["regret_bounds"]
+    assert [row["iter"] for row in rows] == [15, 35, 60]
+    columns = ("bound_log_iter", "bound_log_truncated", "bound_tighter")
+    for policy in ("cmab-plain", "cmab-scaled"):
+        with open(out / f"regret_{policy}.csv", newline="") as fh:
+            table = {int(r["iter"]): r for r in csv.DictReader(fh)}
+        for row in rows:
+            assert all(float(table[row["iter"]][c]) == row[c] for c in columns)
+
+
+def test_config_parse_error_names_the_key(tmp_path, capsys):
+    path = _mini_cfg(tmp_path, "n = 1e3\n")
+    assert main(["run", "--config", path, "--policy", "optimal", "--seed", "0", "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == "error: config key 'n': invalid literal for int() with base 10: '1e3'\n"
+
+
+def test_run_figures_quick_script(tmp_path):
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.join(root, "src"), env.get("PYTHONPATH"))))
+    script = os.path.join(root, "scripts", "run_figures.py")
+    proc = subprocess.run(
+        [sys.executable, script, "--quick", "--seeds", "0", "--out", str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["config"]["seeds"] == [0]
 
 
 def test_bounds_emits_json(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Orchestration: configs, streams, traces, CSV schema, and comparisons."""
 
 import csv
+import dataclasses
 import math
 import os
 
@@ -73,6 +74,66 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
+    with pytest.raises(ValueError, match="bound_tail_term 'pi'"):
+        ExperimentConfig(bound_tail_term="pi")
+    for bad_mean in (math.inf, math.nan, 0.0, -0.5):
+        with pytest.raises(ValueError, match="worker_means must all be finite and > 0"):
+            ExperimentConfig(n=3, b=2, schedule="5,10", worker_means=(0.5, bad_mean, 1.0))
+
+
+def _as_text(value) -> str:
+    """A field value as a config file writes it."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value)
+
+
+def _same_typed(a, b) -> bool:
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same_typed, a, b))
+    return type(a) is type(b) and a == b
+
+
+def test_config_fields_round_trip_through_text():
+    every_field_set = ExperimentConfig(
+        n=6,
+        b=3,
+        m=24,
+        d=3,
+        eta=2e-4,
+        seeds=(3, 5),
+        policies=("cmab", "optimal"),
+        variant="scaled",
+        schedule="15,35,60",
+        theta=0.2,
+        j_cap=5000,
+        mean_min=0.2,
+        mean_max=0.8,
+        mean_step=0.05,
+        distinct_means=True,
+        worker_means=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5),
+        pool_seed=4,
+        data_seed=7,
+        simulate_sgd=False,
+        bound_tail_term="pi/3",
+        out_dir="results/x",
+        write_traces=False,
+        mc_samples=1000,
+        mc_lists=7,
+    )
+    fields = dataclasses.fields(ExperimentConfig)
+    assert all(getattr(every_field_set, f.name) != f.default for f in fields)
+    # the defaults leave the optional fields at None
+    for config in (every_field_set, ExperimentConfig()):
+        text = {f.name: _as_text(getattr(config, f.name)) for f in fields}
+        parsed = ExperimentConfig.from_mapping(text)
+        for f in fields:
+            assert _same_typed(getattr(parsed, f.name), getattr(config, f.name)), f.name
+
 
 
 def test_config_distinct_grid_needs_enough_values():

@@ -43,7 +43,6 @@ from .policies import (
     record_outcome,
     select_superarm_cmab,
     select_superarm_optimal,
-    superarm_is_suboptimal,
 )
 from .sgd import (
     BoundParams,

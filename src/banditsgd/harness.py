@@ -92,6 +92,12 @@ class ExperimentConfig:
             raise ValueError(f"need 1 <= b <= n, got b={self.b}, n={self.n}")
         if len(self.seeds) == 0:
             raise ValueError("need at least one seed")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must all be >= 0, got {self.seeds}")
+        for key in ("pool_seed", "data_seed"):
+            value = getattr(self, key)
+            if value is not None and value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
@@ -107,6 +113,8 @@ class ExperimentConfig:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.theta > 0:
             raise ValueError(f"theta must be > 0, got {self.theta}")
+        if self.j_cap < self.b:
+            raise ValueError(f"need j_cap >= b, got j_cap={self.j_cap}, b={self.b}")
         if self.mc_lists < 1 or self.mc_samples < 1:
             raise ValueError(f"need mc_lists >= 1 and mc_samples >= 1, got {self.mc_lists} and {self.mc_samples}")
         if self.bound_tail_term not in analysis.TAIL_TERMS:
@@ -117,7 +125,12 @@ class ExperimentConfig:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
             if not all(math.isfinite(v) and v > 0 for v in self.worker_means):
                 raise ValueError(f"worker_means must all be finite and > 0, got {self.worker_means}")
-        self.switching_points()  # parse eagerly so bad values fail here
+        points = self.switching_points()  # parse eagerly so bad values fail here
+        if points is not None:
+            try:
+                RoundSchedule(points)
+            except ValueError as exc:
+                raise ValueError(f"schedule {self.schedule!r}: {exc}") from None
 
     def switching_points(self) -> tuple | None:
         """Explicit switching points, or None for computed mode."""
@@ -311,8 +324,12 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     Per-iteration draw accounting (fixed so traces replay bit-exactly):
     bandit and omniscient runs consume r exponential variates (ascending
     member order) from the latency stream, the k-sync baseline n (index
-    order); the learning trajectory consumes r*m uniforms from the batch
-    stream whatever the policy.
+    order), in iteration order; the learning trajectory consumes r*m uniforms
+    from the batch stream whatever the policy. The stream is drawn in blocks,
+    which consumes it the same way: a round at a time for the omniscient and
+    k-sync policies, whose choices need no feedback, and the whole run at once
+    as standard exponentials for the bandit, scaled by the chosen members'
+    means as it picks them.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -330,33 +347,40 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
 
     offsets = np.zeros(horizon + 1, dtype=np.int64)
     np.cumsum(rounds, out=offsets[1:])
-    members = np.zeros(offsets[-1], dtype=np.int32)
-    member_resp = np.zeros(offsets[-1], dtype=np.float64)
-    times = np.zeros(horizon)
+    members = np.empty(offsets[-1], dtype=np.int32)
     employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
-
     state = BanditState.zeros(n)
     ksync_sums = np.zeros(n, dtype=np.float64)
-    optimal_sets = [select_superarm_optimal(pool, r) for r in range(1, schedule.b + 1)]
 
-    for j in range(1, horizon + 1):
-        r = int(rounds[j - 1])
-        if is_ksync:
-            draws = response_vector(pool, latency_rng)
-            arm = np.sort(np.argsort(draws, kind="stable")[:r])
-            resp = draws[arm]
-            ksync_sums += draws
-        else:
-            if variant is None:  # omniscient policy
-                arm = optimal_sets[r - 1]
-            else:
-                arm = select_superarm_cmab(state, variant, r, j)
-            resp = member_responses(pool, arm, latency_rng)
+    if variant is not None:
+        # scaling a standard exponential by the mean is exactly how member_responses draws it
+        member_resp = latency_rng.standard_exponential(offsets[-1])
+        for j, (r, lo, hi) in enumerate(zip(rounds.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()), start=1):
+            arm = select_superarm_cmab(state, variant, r, j)
+            members[lo:hi] = arm
+            resp = member_resp[lo:hi]
+            resp *= pool.means[arm]
             record_outcome(state, arm, resp, pool, r, j)
-        times[j - 1] = resp.max()
-        lo = offsets[j - 1]
-        members[lo : lo + r] = arm
-        member_resp[lo : lo + r] = resp
+    else:
+        member_resp = np.empty(offsets[-1], dtype=np.float64)
+        start = 0
+        for r, stop in enumerate(schedule.switching_points, start=1):
+            count, lo, hi = stop - start, offsets[start], offsets[stop]
+            if is_ksync:
+                draws = response_vector(pool, latency_rng, count)
+                arms = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
+                resp = np.take_along_axis(draws, arms, axis=1)
+                # row after row, as per-iteration additions would
+                ksync_sums = np.cumsum(np.vstack([ksync_sums, draws]), axis=0)[-1]
+            else:
+                arm = select_superarm_optimal(pool, r)
+                resp = member_responses(pool, arm, latency_rng, count)
+                record_outcome(state, arm, resp, pool, r, start + 1)
+                arms = np.broadcast_to(arm, resp.shape)
+            members[lo:hi] = arms.ravel()
+            member_resp[lo:hi] = resp.ravel()
+            start = stop
+    times = np.maximum.reduceat(member_resp, offsets[:-1])
 
     if is_ksync:
         pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)

@@ -2,9 +2,16 @@
 
 Workers respond after independent exponentially distributed delays. Sampling
 helpers consume a documented number of variates from the caller's generator so
-traces replay bit-exactly. The moment formulas enumerate the non-empty subsets
-of the rate list (inclusion-exclusion over the joint survival function), which
-is exact but exponential in the list length, hence the hard cap.
+traces replay bit-exactly: ``member_responses`` draws one variate per member
+of the superarm, in ascending member order, and ``response_vector`` one per
+worker, in index order. Given an iteration count ``L``, either returns an
+``(L, r)`` or ``(L, n)`` block drawn row after row, which consumes the stream
+exactly as ``L`` single calls do and equals them bit for bit (an exponential
+draw of scale ``s`` is ``s`` times a standard exponential draw).
+
+The moment formulas enumerate the non-empty subsets of the rate list
+(inclusion-exclusion over the joint survival function), which is exact but
+exponential in the list length, hence the hard cap.
 """
 
 from __future__ import annotations
@@ -63,29 +70,42 @@ class WorkerPool:
         arm = np.atleast_1d(np.asarray(superarm, dtype=np.int64))
         if arm.size == 0:
             raise ValueError("superarm must be non-empty")
-        if arm.size > 1 and not np.all(arm[1:] > arm[:-1]):
+        if arm.size > 1 and not (arm[1:] > arm[:-1]).all():
             arm = np.sort(arm)
-            if np.any(arm[1:] == arm[:-1]):
+            if (arm[1:] == arm[:-1]).any():
                 raise ValueError("superarm contains duplicate worker indices")
         if arm[0] < 0 or arm[-1] >= self.n:
             raise ValueError("superarm contains out-of-range worker indices")
         return arm
 
 
-def response_vector(pool: WorkerPool, rng: np.random.Generator) -> np.ndarray:
-    """One fresh draw per worker, in index order (consumes ``n`` variates)."""
-    return rng.exponential(pool.means)
+def _draw(scales: np.ndarray, rng: np.random.Generator, iterations: int | None) -> np.ndarray:
+    if iterations is None:
+        return rng.exponential(scales)
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    return rng.exponential(scales, size=(int(iterations), scales.size))
 
 
-def member_responses(pool: WorkerPool, superarm, rng: np.random.Generator) -> np.ndarray:
+def response_vector(pool: WorkerPool, rng: np.random.Generator, iterations: int | None = None) -> np.ndarray:
+    """One fresh draw per worker, in index order (consumes ``n`` variates).
+
+    With ``iterations=L``, an ``(L, n)`` block: row ``i`` equals the ``i``-th
+    of ``L`` single calls.
+    """
+    return _draw(pool.means, rng, iterations)
+
+
+def member_responses(pool: WorkerPool, superarm, rng: np.random.Generator, iterations: int | None = None) -> np.ndarray:
     """Fresh per-member draws for a superarm.
 
     Consumes exactly ``len(superarm)`` exponential variates, in ascending
     worker-index order; element ``t`` belongs to the ``t``-th member of the
-    canonicalized (sorted) superarm.
+    canonicalized (sorted) superarm. With ``iterations=L``, an ``(L, r)``
+    block: row ``i`` equals the ``i``-th of ``L`` single calls.
     """
     arm = pool.validate_superarm(superarm)
-    return rng.exponential(pool.means[arm])
+    return _draw(pool.means[arm], rng, iterations)
 
 
 def kth_order_response(pool: WorkerPool, k: int, rng: np.random.Generator) -> float:

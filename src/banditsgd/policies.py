@@ -119,22 +119,6 @@ def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
     return np.sort(order[:r])
 
 
-def _suboptimal_given_valid(pool: WorkerPool, arm: np.ndarray, tol: float) -> bool:
-    return bool(np.any(np.sort(pool.means[arm]) > pool.sorted_means[: arm.size] + tol))
-
-
-def superarm_is_suboptimal(pool: WorkerPool, superarm, *, tol: float = SUBOPTIMALITY_TOL) -> bool:
-    """Whether the superarm's expected completion time exceeds the optimum.
-
-    Compares the sorted member means against the pool's r smallest means,
-    which decides the expected-max comparison: the expected max strictly
-    increases when any member's mean strictly increases, and the optimal set
-    holds the r smallest means, so a mean multiset mismatch forces a strictly
-    larger expected max.
-    """
-    return _suboptimal_given_valid(pool, pool.validate_superarm(superarm), tol)
-
-
 def record_outcome(
     state: BanditState,
     superarm,
@@ -143,28 +127,43 @@ def record_outcome(
     r: int,
     j: int,
 ) -> BanditState:
-    """Fold one iteration's observations into the counters (in place).
+    """Fold the observations of iteration j into the counters (in place).
 
     ``responses[t]`` must be the response time of the ``t``-th member of the
-    (ascending) superarm. When the chosen superarm is suboptimal, the
-    suboptimal-pull counter of its least-pulled member (lowest index on ties,
-    pulls as of before this update) is incremented.
+    (ascending) superarm. An ``(L, r)`` block folds in ``L`` consecutive
+    iterations ``j .. j+L-1`` of the same superarm, row ``i`` being iteration
+    ``j+i``, with the same result as ``L`` single calls: response sums are
+    accumulated row after row.
+
+    When the chosen superarm is suboptimal, the suboptimal-pull counter of its
+    least-pulled member (lowest index on ties, pulls as of before this update)
+    is incremented, once per iteration. The test compares the sorted member
+    means against the pool's r smallest means, which decides the expected-max
+    comparison: the expected max strictly increases when any member's mean
+    strictly increases, and the optimal set holds the r smallest means, so a
+    mean multiset mismatch forces a strictly larger expected max.
     """
     arm = pool.validate_superarm(superarm)
-    responses = np.atleast_1d(np.asarray(responses, dtype=np.float64))
-    if responses.size != arm.size:
-        raise ValueError(f"got {responses.size} responses for a superarm of size {arm.size}")
+    block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
+    if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != arm.size:
+        raise ValueError(f"responses of shape {np.shape(responses)} do not fit a superarm of size {arm.size}")
     if arm.size != r:
         raise ValueError(f"superarm has {arm.size} members, expected round size {r}")
     if j != state.current_iteration + 1:
         raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
 
-    if _suboptimal_given_valid(pool, arm, SUBOPTIMALITY_TOL):
-        least = arm[np.argmin(state.pulls[arm])]  # argmin takes the first, i.e. lowest index
-        state.suboptimal_pulls[least] += 1
-    state.pulls[arm] += 1
-    state.response_sums[arm] += responses
-    state.current_iteration = j
+    iterations = block.shape[0]
+    means = pool.means[arm]
+    means.sort()
+    if (means > pool.sorted_means[: arm.size] + SUBOPTIMALITY_TOL).any():
+        least = arm[state.pulls[arm].argmin()]  # argmin takes the first, i.e. lowest index
+        state.suboptimal_pulls[least] += iterations
+    state.pulls[arm] += iterations
+    if iterations == 1:
+        state.response_sums[arm] += block[0]
+    else:  # cumsum adds row after row, as single calls would; a pairwise sum would change bits
+        state.response_sums[arm] = np.cumsum(np.vstack([state.response_sums[arm], block]), axis=0)[-1]
+    state.current_iteration = j + iterations - 1
     return state
 
 

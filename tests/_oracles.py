@@ -3,8 +3,8 @@
 Everything here recomputes quantities by a different route than the package:
 subset sums via itertools instead of binary counting, gradients via central
 finite differences or per-batch row gathers, LCBs one worker at a time, gaps
-via explicit enumeration. Keep these free of any dependence on the
-implementation paths they check.
+via explicit enumeration, runs one iteration and one draw call at a time.
+Keep these free of any dependence on the implementation paths they check.
 """
 
 from __future__ import annotations
@@ -126,6 +126,88 @@ def lcb(state, variant, worker, j) -> float:
         raise ValueError("no worker can have pulls before the first iteration")
     mean = state.response_sums[worker] / state.pulls[worker]
     return float(mean - confidence_radius(state, variant, worker, j - 1))
+
+
+SUBOPTIMALITY_TOL = 1e-12
+
+
+def superarm_is_suboptimal(pool, superarm, *, tol: float = SUBOPTIMALITY_TOL) -> bool:
+    """Whether the superarm's sorted member means exceed the pool's r smallest means.
+
+    That decides the expected-max comparison against the optimal superarm
+    (the expected max strictly increases with any member's mean).
+    """
+    means = np.asarray(pool.means, dtype=np.float64)
+    chosen = np.sort(means[np.asarray(superarm, dtype=np.int64)])
+    return bool(np.any(chosen > np.sort(means)[: chosen.size] + tol))
+
+
+def reference_run_single(config, policy, seed):
+    """``harness.run_single`` one iteration at a time, with one draw call per iteration.
+
+    Every policy asks the latency stream for its iteration's draws when it
+    reaches that iteration: ``member_responses`` of the chosen superarm for the
+    bandit and omniscient policies, ``response_vector`` for k-sync. The
+    returned trace carries the same arrays as the package's run.
+    """
+    from banditsgd.analysis import RunTrace
+    from banditsgd.harness import SeedSetup, policy_variant, stream_rng
+    from banditsgd.latency import member_responses, response_vector
+    from banditsgd.policies import BanditState, record_outcome, select_superarm_cmab, select_superarm_optimal
+
+    setup = SeedSetup.build(config, seed)
+    pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
+    latency_rng = stream_rng(seed, "worker-latency")
+    variant = policy_variant(policy, config)
+    is_ksync = policy == "adaptive-ksync"
+    n, horizon = pool.n, schedule.horizon
+
+    offsets = np.zeros(horizon + 1, dtype=np.int64)
+    np.cumsum(rounds, out=offsets[1:])
+    members = np.zeros(offsets[-1], dtype=np.int32)
+    member_resp = np.zeros(offsets[-1], dtype=np.float64)
+    times = np.zeros(horizon)
+    employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
+    state = BanditState.zeros(n)
+    ksync_sums = np.zeros(n, dtype=np.float64)
+    optimal_sets = [select_superarm_optimal(pool, r) for r in range(1, schedule.b + 1)]
+
+    for j in range(1, horizon + 1):
+        r = int(rounds[j - 1])
+        if is_ksync:
+            draws = response_vector(pool, latency_rng)
+            arm = np.sort(np.argsort(draws, kind="stable")[:r])
+            resp = draws[arm]
+            ksync_sums += draws
+        else:
+            arm = optimal_sets[r - 1] if variant is None else select_superarm_cmab(state, variant, r, j)
+            resp = member_responses(pool, arm, latency_rng)
+            record_outcome(state, arm, resp, pool, r, j)
+        times[j - 1] = resp.max()
+        lo = offsets[j - 1]
+        members[lo : lo + r] = arm
+        member_resp[lo : lo + r] = resp
+
+    if is_ksync:
+        pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)
+    else:
+        pulls, sums, subopt = state.pulls, state.response_sums, state.suboptimal_pulls
+    return RunTrace(
+        policy=policy,
+        seed=int(seed),
+        schedule=schedule,
+        rates=pool.rates,
+        rounds=rounds,
+        response_times=times,
+        employments=employ,
+        model_errors=setup.model_errors,
+        member_offsets=offsets,
+        members=members,
+        member_responses=member_resp,
+        pulls=pulls,
+        response_sums=sums,
+        suboptimal_pulls=subopt,
+    )
 
 
 # ---------------------------------------------------------------- analysis layer

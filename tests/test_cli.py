@@ -91,6 +91,20 @@ def test_run_reports_faults_with_exit_code(tmp_path, cfg_file, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--schedule", "35,15,60"], "error: schedule '35,15,60': switching points must be strictly increasing"),
+        (["--seeds", "0,-1"], "error: seeds must all be >= 0"),
+    ],
+)
+def test_config_faults_fail_before_any_run(tmp_path, cfg_file, capsys, monkeypatch, flags, message):
+    monkeypatch.setattr(harness, "run_single", None)  # a run that starts fails with a TypeError
+    rc = main(["compare", "--config", cfg_file, "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(message)
+
+
 def test_run_missing_config_file_reports_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.cfg")
     rc = main(["run", "--config", missing, "--policy", "cmab-plain", "--seed", "0", "--out", str(tmp_path / "t.csv")])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from banditsgd import sgd
+from banditsgd.analysis import RunTrace
 from banditsgd.harness import (
     TRACE_HEADER,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from banditsgd.harness import (
 from banditsgd.policies import RoundSchedule
 from banditsgd.sgd import sample_batches
 
-from _oracles import apply_update, model_error, partial_gradient
+from _oracles import apply_update, model_error, partial_gradient, reference_run_single
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -79,6 +80,16 @@ def test_config_validation():
     for bad_mean in (math.inf, math.nan, 0.0, -0.5):
         with pytest.raises(ValueError, match="worker_means must all be finite and > 0"):
             ExperimentConfig(n=3, b=2, schedule="5,10", worker_means=(0.5, bad_mean, 1.0))
+    for schedule in ("3,2,1", "0,1,2", "1,1,2"):
+        with pytest.raises(ValueError, match=f"schedule '{schedule}': switching points must be strictly increasing"):
+            ExperimentConfig(n=5, b=3, schedule=schedule)
+    with pytest.raises(ValueError, match="seeds must all be >= 0"):
+        ExperimentConfig(seeds=(0, -1))
+    for key in ("pool_seed", "data_seed"):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+            ExperimentConfig(**{key: -1})
+    with pytest.raises(ValueError, match="need j_cap >= b"):
+        ExperimentConfig(b=20, j_cap=19)
 
 
 def _as_text(value) -> str:
@@ -253,6 +264,31 @@ def test_trace_structure_and_bookkeeping():
             assert trace.responses_at(j).size == arm.size
             if policy != "adaptive-ksync":
                 assert trace.response_times[j - 1] == pytest.approx(trace.responses_at(j).max())
+
+
+TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray")
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(n=10, b=5, schedule="30,70,120,180,250", mean_step=0.01),
+        dict(n=50, b=20, schedule=",".join(str(6 * r) for r in range(1, 20)) + ",150", mean_step=0.01),
+        dict(n=6, b=3, schedule="1,2,5", mean_step=0.05),
+        dict(n=5, b=5, schedule="4,9,15,22,40", mean_step=0.05),
+    ],
+    ids=["n10-b5", "n50-b20", "one-iteration-round", "b-equals-n"],
+)
+@pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync"])
+def test_run_single_matches_per_iteration_reference(shape, policy):
+    assert len(TRACE_ARRAYS) == 11
+    cfg = ExperimentConfig(**shape, distinct_means=True, simulate_sgd=False, variant="scaled")
+    for seed in (0, 5):
+        trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
+        for name in TRACE_ARRAYS:
+            got, want = getattr(trace, name), getattr(reference, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_ksync_time_is_kth_smallest_of_full_vector():

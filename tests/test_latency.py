@@ -14,6 +14,7 @@ from banditsgd.latency import (
     kth_order_response,
     max_moments,
     member_responses,
+    response_vector,
     variance_of_max,
 )
 from banditsgd.verify import mc_max_mean, mc_max_samples
@@ -87,6 +88,22 @@ def test_superarm_draw_accounting():
     np.testing.assert_array_equal(got, ref)
     # generator advanced by exactly two variates
     assert rng.exponential(1.0) == np.random.default_rng(11).exponential(np.ones(3))[2]
+
+
+@pytest.mark.parametrize("iterations", [1, 3, 2000])
+def test_block_draws_equal_single_calls(iterations):
+    pool = WorkerPool(np.linspace(0.3, 9.0, 12))
+    arm = [1, 4, 5, 11]
+    block_rng, single_rng = np.random.default_rng(31), np.random.default_rng(31)
+    members = member_responses(pool, arm, block_rng, iterations)
+    workers = response_vector(pool, block_rng, iterations)
+    assert members.shape == (iterations, len(arm)) and workers.shape == (iterations, pool.n)
+    assert members.tobytes() == np.array([member_responses(pool, arm, single_rng) for _ in range(iterations)]).tobytes()
+    assert workers.tobytes() == np.array([response_vector(pool, single_rng) for _ in range(iterations)]).tobytes()
+    # both generators end in the same state
+    assert block_rng.random() == single_rng.random()
+    with pytest.raises(ValueError, match="iterations"):
+        member_responses(pool, arm, block_rng, 0)
 
 
 def test_superarm_empirical_means():

@@ -18,11 +18,10 @@ from banditsgd.policies import (
     record_outcome,
     select_superarm_cmab,
     select_superarm_optimal,
-    superarm_is_suboptimal,
 )
 from banditsgd.sgd import BoundParams
 
-from _oracles import confidence_radius, lcb
+from _oracles import confidence_radius, lcb, superarm_is_suboptimal
 
 
 def state_with(pulls, sums, iteration=0):
@@ -237,6 +236,35 @@ def test_suboptimality_decider_exact_vs_sorted_means():
         best = select_superarm_optimal(pool, r)
         truth = expected_max(pool.rates[arm]) > expected_max(pool.rates[best]) + 1e-12
         assert superarm_is_suboptimal(pool, arm) == truth
+        st8 = record_outcome(BanditState.zeros(n), arm, pool.means[arm], pool, r, 1)
+        assert st8.suboptimal_pulls.sum() == truth
+
+
+@pytest.mark.parametrize("arm", [[0, 2, 5], [1, 3, 4], [4]])
+def test_record_outcome_block_equals_single_calls(arm):
+    pool = WorkerPool(1.0 / np.array([0.2, 0.7, 0.3, 0.9, 0.5, 0.4]))  # optimal triple {0, 2, 5}
+    assert superarm_is_suboptimal(pool, arm) == (arm != [0, 2, 5])
+    for seed in range(3):  # a pairwise sum matches the row-by-row one on some draws, not on all
+        rng = np.random.default_rng(seed)
+        pulls = rng.integers(1, 30, pool.n)
+        sums = rng.uniform(0.1, 1.0, pool.n) * pulls
+        block = rng.exponential(pool.means[arm], size=(500, len(arm)))
+        single = state_with(pulls.copy(), sums.copy(), iteration=9)
+        for i, row in enumerate(block):
+            record_outcome(single, arm, row, pool, len(arm), 10 + i)
+        batched = record_outcome(state_with(pulls.copy(), sums.copy(), iteration=9), arm, block, pool, len(arm), 10)
+        np.testing.assert_array_equal(batched.pulls, single.pulls)
+        assert batched.response_sums.tobytes() == single.response_sums.tobytes()
+        np.testing.assert_array_equal(batched.suboptimal_pulls, single.suboptimal_pulls)
+        assert batched.current_iteration == single.current_iteration == 509
+        assert batched.suboptimal_pulls.sum() == (500 if arm != [0, 2, 5] else 0)
+
+
+def test_record_outcome_block_shape_faults():
+    pool = WorkerPool([1.0, 2.0, 4.0])
+    for bad in (np.ones((4, 3)), np.ones((4, 2, 1)), np.ones((0, 2))):
+        with pytest.raises(ValueError, match="do not fit"):
+            record_outcome(BanditState.zeros(3), [0, 1], bad, pool, 2, 1)
 
 
 # ---------------------------------------------------------------- k-sync draw

@@ -27,7 +27,6 @@ from .harness import (
 from .latency import (
     WorkerPool,
     expected_max,
-    kth_order_response,
     member_responses,
     response_vector,
     variance_of_max,

@@ -176,44 +176,46 @@ def _gaps_for(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None)
     return gaps
 
 
-def regret_bound(
+def regret_bound_curve(
     pool: WorkerPool,
     schedule: RoundSchedule,
-    j: float,
+    js,
     *,
     gaps: GapReport | None = None,
     tail_term: str = "pi2/3",
     log_truncated: bool = False,
-) -> float:
-    """Worst-case expected regret of the bandit policy at iteration j.
+) -> np.ndarray:
+    """Worst-case expected regret of the bandit policy at each iteration j of ``js``.
 
     max-started-round Delta_max * n * (48 log(j) / min(delta_min^2, delta_min)
     + 1 + u * pi^2/3), with u the number of started rounds. ``tail_term``
     switches the additive constant to u * pi/3 for comparison;
     ``log_truncated`` freezes the logarithm at the schedule horizon (the two
-    forms coincide for j within the schedule).
+    forms coincide for j within the schedule). The logarithm is ``math.log``
+    per element, because ``np.log`` may differ from it in the last bit.
     """
-    if j < 1:
+    js = np.asarray(js, dtype=np.float64)
+    if (js < 1).any():
         raise ValueError("iteration must be >= 1")
     if not pool.theorem_valid:
         raise ValueError("regret bound requires every worker rate >= 1 (rescale time units)")
+    if tail_term not in TAIL_TERMS:
+        raise ValueError(f"unknown tail_term {tail_term!r}; choose from {tuple(TAIL_TERMS)}")
     gaps = _gaps_for(pool, schedule, gaps)
     if gaps.delta_min == 0:
         raise ValueError("regret bound undefined for delta_min = 0")
-    points = schedule.switching_points
-    u = int(np.searchsorted(np.asarray(points), min(j, points[-1]), side="left")) + 1
-    u = min(u, schedule.b)
-    delta_term = float(gaps.delta_max[:u].max())
-    log_val = math.log(min(j, points[-1])) if log_truncated else math.log(j)
+    points = np.asarray(schedule.switching_points)
+    clipped = np.minimum(js, points[-1])
+    started = np.searchsorted(points, clipped, side="left")  # u - 1, at most b - 1
+    delta_term = np.maximum.accumulate(gaps.delta_max)[started]
+    logs = np.fromiter(map(math.log, (clipped if log_truncated else js).tolist()), np.float64, js.size)
     denom = min(gaps.delta_min**2, gaps.delta_min)
-    if tail_term not in TAIL_TERMS:
-        raise ValueError(f"unknown tail_term {tail_term!r}; choose from {tuple(TAIL_TERMS)}")
-    return delta_term * pool.n * (48.0 * log_val / denom + 1.0 + u * TAIL_TERMS[tail_term])
+    return delta_term * pool.n * (48.0 * logs / denom + 1.0 + (started + 1) * TAIL_TERMS[tail_term])
 
 
-def regret_bound_curve(pool, schedule, js, **kwargs) -> np.ndarray:
-    gaps = _gaps_for(pool, schedule, kwargs.pop("gaps", None))
-    return np.array([regret_bound(pool, schedule, float(j), gaps=gaps, **kwargs) for j in js])
+def regret_bound(pool: WorkerPool, schedule: RoundSchedule, j: float, **options) -> float:
+    """``regret_bound_curve`` at the single iteration j, with the same keyword options."""
+    return float(regret_bound_curve(pool, schedule, [j], **options)[0])
 
 
 def regret_bound_table(

@@ -47,6 +47,8 @@ TRACE_HEADER = "iter,round,policy,seed,superarm,response_time,cum_time,employmen
 
 def stream_rng(seed: int, label: str) -> np.random.Generator:
     """Independent generator for one named stream of a seeded run."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     idx = STREAM_LABELS.index(label)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=int(seed), spawn_key=(idx,))))
 
@@ -125,6 +127,8 @@ class ExperimentConfig:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
             if not all(math.isfinite(v) and v > 0 for v in self.worker_means):
                 raise ValueError(f"worker_means must all be finite and > 0, got {self.worker_means}")
+        elif self.distinct_means:
+            self.mean_grid()  # fails unless the grid has at least n values
         points = self.switching_points()  # parse eagerly so bad values fail here
         if points is not None:
             try:

@@ -1,13 +1,15 @@
 """Exponential worker-latency model and exact order-statistic moments.
 
-Workers respond after independent exponentially distributed delays. Sampling
-helpers consume a documented number of variates from the caller's generator so
-traces replay bit-exactly: ``member_responses`` draws one variate per member
-of the superarm, in ascending member order, and ``response_vector`` one per
-worker, in index order. Given an iteration count ``L``, either returns an
-``(L, r)`` or ``(L, n)`` block drawn row after row, which consumes the stream
-exactly as ``L`` single calls do and equals them bit for bit (an exponential
-draw of scale ``s`` is ``s`` times a standard exponential draw).
+Workers respond after independent exponentially distributed delays. The
+sampling helpers draw ``L`` iterations at once and consume a documented
+number of variates from the caller's generator, so traces replay bit-exactly:
+``member_responses`` returns an ``(L, r)`` block, one variate per member of
+the superarm in ascending member order, and ``response_vector`` an ``(L, n)``
+block, one per worker in index order. Rows are drawn one after another, so a
+block consumes the stream exactly as ``L`` one-row blocks do and equals them
+bit for bit (an exponential draw of scale ``s`` is ``s`` times a standard
+exponential draw). Order statistics of a draw, such as the k-th fastest
+response that k-sync waits for, are row reductions of a block.
 
 The moment formulas enumerate the non-empty subsets of the rate list
 (inclusion-exclusion over the joint survival function), which is exact but
@@ -79,42 +81,26 @@ class WorkerPool:
         return arm
 
 
-def _draw(scales: np.ndarray, rng: np.random.Generator, iterations: int | None) -> np.ndarray:
-    if iterations is None:
-        return rng.exponential(scales)
+def _draw(scales: np.ndarray, rng: np.random.Generator, iterations: int) -> np.ndarray:
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     return rng.exponential(scales, size=(int(iterations), scales.size))
 
 
-def response_vector(pool: WorkerPool, rng: np.random.Generator, iterations: int | None = None) -> np.ndarray:
-    """One fresh draw per worker, in index order (consumes ``n`` variates).
-
-    With ``iterations=L``, an ``(L, n)`` block: row ``i`` equals the ``i``-th
-    of ``L`` single calls.
-    """
+def response_vector(pool: WorkerPool, rng: np.random.Generator, iterations: int) -> np.ndarray:
+    """An ``(L, n)`` block of draws, ``L = iterations``: one per worker and row, in index order."""
     return _draw(pool.means, rng, iterations)
 
 
-def member_responses(pool: WorkerPool, superarm, rng: np.random.Generator, iterations: int | None = None) -> np.ndarray:
-    """Fresh per-member draws for a superarm.
+def member_responses(pool: WorkerPool, superarm, rng: np.random.Generator, iterations: int) -> np.ndarray:
+    """An ``(L, r)`` block of draws for a superarm, ``L = iterations``.
 
-    Consumes exactly ``len(superarm)`` exponential variates, in ascending
-    worker-index order; element ``t`` belongs to the ``t``-th member of the
-    canonicalized (sorted) superarm. With ``iterations=L``, an ``(L, r)``
-    block: row ``i`` equals the ``i``-th of ``L`` single calls.
+    Each row consumes exactly ``len(superarm)`` exponential variates, in
+    ascending worker-index order; column ``t`` belongs to the ``t``-th member
+    of the canonicalized (sorted) superarm.
     """
     arm = pool.validate_superarm(superarm)
     return _draw(pool.means[arm], rng, iterations)
-
-
-def kth_order_response(pool: WorkerPool, k: int, rng: np.random.Generator) -> float:
-    """Draw all ``n`` workers (index order) and return the k-th smallest, k >= 1."""
-    k = int(k)
-    if not 1 <= k <= pool.n:
-        raise ValueError(f"k={k} outside [1, {pool.n}]")
-    draws = response_vector(pool, rng)
-    return float(np.partition(draws, k - 1)[k - 1])
 
 
 def _validated_rates(rates) -> np.ndarray:
@@ -132,13 +118,13 @@ def _validated_rates(rates) -> np.ndarray:
     return arr
 
 
-def _inclusion_exclusion_sum(rates: np.ndarray, second: bool = False) -> tuple[float, float]:
+def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     """Sums over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^p.
 
-    Returns the p=1 sum and, when ``second`` is set, the p=2 sum (else 0.0),
-    both from one enumeration of the subset sums. Enumerates subsets by
-    binary counting over the low ``_CHUNK_BITS`` indices and loops over the
-    high indices, bounding memory at a few arrays of 2^_CHUNK_BITS floats.
+    Returns the p=1 and the p=2 sum, both from one enumeration of the subset
+    sums. Enumerates subsets by binary counting over the low ``_CHUNK_BITS``
+    indices and loops over the high indices, bounding memory at a few arrays
+    of 2^_CHUNK_BITS floats.
     """
     n_low = min(rates.size, _CHUNK_BITS)
     size_low = 1 << n_low
@@ -162,9 +148,8 @@ def _inclusion_exclusion_sum(rates: np.ndarray, second: bool = False) -> tuple[f
             hparity = -1.0 if len(bits) % 2 else 1.0
         # (-1)^(|S|-1) = -(-1)^(|S|)
         total1 -= hparity * float((parity / sums).sum())
-        if second:
-            terms = sums**2
-            total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
+        terms = sums**2
+        total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
     return total1, total2
 
 
@@ -174,13 +159,13 @@ def max_moments(rates) -> tuple[float, float]:
     E[max] = sum over non-empty subsets S of (-1)^(|S|-1) / sum_{i in S} rates_i
     and E[max^2] = the same sum with 2 / (sum rates)^2, from one enumeration.
     """
-    mean, second = _inclusion_exclusion_sum(_validated_rates(rates), second=True)
+    mean, second = _inclusion_exclusion_sum(_validated_rates(rates))
     return mean, max(2.0 * second - mean * mean, 0.0)
 
 
 def expected_max(rates) -> float:
     """Exact mean of the maximum of independent exponentials (see ``max_moments``)."""
-    return _inclusion_exclusion_sum(_validated_rates(rates))[0]
+    return max_moments(rates)[0]
 
 
 def variance_of_max(rates) -> float:

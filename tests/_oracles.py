@@ -107,12 +107,24 @@ def model_error(problem, w) -> float:
 # ---------------------------------------------------------------- scheduling layer
 
 
+def exploration_scale(state, variant, j) -> float:
+    """f(j) = 2 log j; the ``scaled`` variant multiplies it by the smallest
+    empirical mean among pulled workers (0 when none was pulled)."""
+    if j < 1:
+        raise ValueError("iteration must be >= 1")
+    f = 2.0 * math.log(j)
+    if variant.tag == "scaled":
+        means = [total / t for total, t in zip(state.response_sums.tolist(), state.pulls.tolist()) if t > 0]
+        f *= min(means) if means else 0.0
+    return f
+
+
 def confidence_radius(state, variant, worker, j) -> float:
     """sqrt(4 f(j) / T_i) + 2 f(j) / T_i for a worker with T_i = pulls > 0."""
     t = int(state.pulls[worker])
     if t <= 0:
         raise ValueError("confidence radius undefined for an unpulled worker")
-    f = variant.exploration_scale(state, j)
+    f = exploration_scale(state, variant, j)
     return math.sqrt(4.0 * f / t) + 2.0 * f / t
 
 
@@ -142,13 +154,35 @@ def superarm_is_suboptimal(pool, superarm, *, tol: float = SUBOPTIMALITY_TOL) ->
     return bool(np.any(chosen > np.sort(means)[: chosen.size] + tol))
 
 
+def kth_order_response(rates, k, rng) -> float:
+    """One draw per worker, in index order, and its k-th smallest value (k >= 1)."""
+    draws = rng.exponential(1.0 / np.asarray(rates, dtype=np.float64))
+    return float(np.partition(draws, k - 1)[k - 1])
+
+
+def order_statistic_check(samples, rng) -> tuple[bool, str]:
+    """``verify.check_order_statistics`` one draw call per sample: (passed, detail)."""
+    n = 4
+    rates = np.ones(n)
+    fastest = np.array([kth_order_response(rates, 1, rng) for _ in range(samples)])
+    slowest = np.array([kth_order_response(rates, n, rng) for _ in range(samples)])
+    ok = True
+    details = []
+    for label, draws, exact in (("min", fastest, 1.0 / n), ("max", slowest, harmonic_iid_expected_max(1.0, n))):
+        se = draws.std(ddof=1) / math.sqrt(samples)
+        ok = ok and abs(draws.mean() - exact) <= 3 * se
+        details.append(f"{label} mean {draws.mean():.5f} vs {exact:.5f}")
+    return bool(ok), "; ".join(details)
+
+
 def reference_run_single(config, policy, seed):
     """``harness.run_single`` one iteration at a time, with one draw call per iteration.
 
     Every policy asks the latency stream for its iteration's draws when it
-    reaches that iteration: ``member_responses`` of the chosen superarm for the
-    bandit and omniscient policies, ``response_vector`` for k-sync. The
-    returned trace carries the same arrays as the package's run.
+    reaches that iteration: a one-row ``member_responses`` block of the chosen
+    superarm for the bandit and omniscient policies, a one-row
+    ``response_vector`` block for k-sync. The returned trace carries the same
+    arrays as the package's run.
     """
     from banditsgd.analysis import RunTrace
     from banditsgd.harness import SeedSetup, policy_variant, stream_rng
@@ -175,13 +209,13 @@ def reference_run_single(config, policy, seed):
     for j in range(1, horizon + 1):
         r = int(rounds[j - 1])
         if is_ksync:
-            draws = response_vector(pool, latency_rng)
+            draws = response_vector(pool, latency_rng, 1)[0]
             arm = np.sort(np.argsort(draws, kind="stable")[:r])
             resp = draws[arm]
             ksync_sums += draws
         else:
             arm = optimal_sets[r - 1] if variant is None else select_superarm_cmab(state, variant, r, j)
-            resp = member_responses(pool, arm, latency_rng)
+            resp = member_responses(pool, arm, latency_rng, 1)[0]
             record_outcome(state, arm, resp, pool, r, j)
         times[j - 1] = resp.max()
         lo = offsets[j - 1]
@@ -235,3 +269,21 @@ def delta_min_exhaustive(pool, b) -> float:
                 if member_means[v] > opt[v]:
                     best = min(best, member_means[v] - opt[v])
     return best
+
+
+TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}
+
+
+def regret_bound(n, switching_points, delta_max, delta_min, j, *, tail_term="pi2/3", log_truncated=False) -> float:
+    """The worst-case bound at one iteration j, from a gap report's ``delta_max`` and ``delta_min``.
+
+    Delta_max over started rounds * n * (48 log(j) / min(delta_min^2, delta_min)
+    + 1 + u * tail), u = 1 + the number of switching points before min(j, horizon).
+    """
+    j = float(j)
+    clipped = min(j, switching_points[-1])
+    u = 1 + sum(1 for t in switching_points if t < clipped)
+    delta_term = max(float(d) for d in delta_max[:u])
+    log_val = math.log(clipped if log_truncated else j)
+    denom = min(delta_min**2, delta_min)
+    return delta_term * n * (48.0 * log_val / denom + 1.0 + u * TAIL_TERMS[tail_term])

@@ -1,5 +1,6 @@
 """Gaps, regret curves, worst-case guarantees, and tail bounds."""
 
+import dataclasses
 import logging
 import math
 
@@ -23,6 +24,7 @@ from banditsgd.latency import WorkerPool, expected_max, variance_of_max
 from banditsgd.policies import RoundSchedule, select_superarm_optimal
 
 from _oracles import delta_min_exhaustive
+from _oracles import regret_bound as oracle_regret_bound
 
 
 def bandit_only_config(**kw):
@@ -200,11 +202,22 @@ def test_regret_bound_requires_unit_rates():
 
 
 def test_regret_bound_curve_matches_scalar():
-    pool = WorkerPool([1.0, 1.5, 3.0])
-    sched = RoundSchedule((5, 12, 30))
-    js = np.arange(1, 31)
-    curve = regret_bound_curve(pool, sched, js)
-    np.testing.assert_allclose(curve, [regret_bound(pool, sched, int(j)) for j in js], rtol=1e-12)
+    # a 28 000-iteration horizon, both tail terms and log forms, iterations past the horizon
+    pool = WorkerPool(1.0 / np.array([0.9, 0.3, 0.55, 0.1, 0.75, 0.2, 0.45, 0.6]))
+    sched = RoundSchedule((1000, 4000, 9000, 17000, 28000))
+    gaps = compute_gaps(pool, sched)
+    # a delta_max that falls between rounds makes the running max over started rounds matter
+    reordered = dataclasses.replace(gaps, delta_max=gaps.delta_max[[2, 0, 4, 1, 3]])
+    js = np.concatenate([np.arange(1, 28001), [28001, 31000.5, 10**6]])
+    for report in (gaps, reordered):
+        inputs = (pool.n, sched.switching_points, report.delta_max, report.delta_min)
+        for tail_term in ("pi2/3", "pi/3"):
+            for log_truncated in (False, True):
+                options = dict(tail_term=tail_term, log_truncated=log_truncated)
+                curve = regret_bound_curve(pool, sched, js, gaps=report, **options)
+                scalar = [oracle_regret_bound(*inputs, j, **options) for j in js.tolist()]
+                np.testing.assert_array_equal(curve, scalar)
+                assert regret_bound(pool, sched, 31000.5, gaps=report, **options) == scalar[-2]
 
 
 def test_regret_bound_table_columns_and_applicability():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -103,6 +104,15 @@ def test_config_faults_fail_before_any_run(tmp_path, cfg_file, capsys, monkeypat
     rc = main(["compare", "--config", cfg_file, "--out", str(tmp_path / "out"), *flags])
     assert rc == 2
     assert capsys.readouterr().err.startswith(message)
+
+
+def test_run_rejects_negative_seed(tmp_path, cfg_file, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["run", "--config", cfg_file, "--policy", "optimal", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert not out.exists()
 
 
 def test_run_missing_config_file_reports_error(tmp_path, capsys):
@@ -233,11 +243,20 @@ def test_verify_rejects_empty_sample_sizes(sizes, capsys):
 
 
 def test_verify_too_few_samples_fails(capsys):
-    # fewer than 20 samples leave the order-statistic check without data
-    with pytest.warns(RuntimeWarning):
+    # fewer than 20 samples leave the order-statistic check without data: a miss, not a crash
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rc = main(["verify", "--lists", "4", "--samples", "10", "--trials", "100"])
     assert rc == 1
-    assert "FAIL kth_order_response" in capsys.readouterr().out
+    assert "FAIL fastest and slowest response vs closed forms: no samples" in capsys.readouterr().out
+
+
+def test_verify_rejects_negative_seed(capsys):
+    rc = main(["verify", "--lists", "4", "--samples", "100", "--trials", "100", "--seed", "-1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "seed" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_unexpected_fault_reports_type_and_exit_code(tmp_path, cfg_file, capsys, monkeypatch):

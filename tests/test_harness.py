@@ -149,7 +149,9 @@ def test_config_fields_round_trip_through_text():
 
 def test_config_distinct_grid_needs_enough_values():
     with pytest.raises(ValueError, match="distinct"):
-        ExperimentConfig(n=50, b=5, distinct_means=True, schedule="1,2,3,4,5").mean_grid()
+        ExperimentConfig(n=50, b=5, distinct_means=True, schedule="1,2,3,4,5")
+    # the grid is not used when the means are listed
+    ExperimentConfig(n=50, b=5, distinct_means=True, schedule="1,2,3,4,5", worker_means=(0.5,) * 50)
 
 
 def test_config_file_roundtrip(tmp_path):

@@ -11,15 +11,20 @@ from banditsgd import latency
 from banditsgd.latency import (
     WorkerPool,
     expected_max,
-    kth_order_response,
     max_moments,
     member_responses,
     response_vector,
     variance_of_max,
 )
-from banditsgd.verify import mc_max_mean, mc_max_samples
+from banditsgd.verify import check_order_statistics, mc_max_mean, mc_max_samples
 
-from _oracles import brute_expected_max, brute_variance_of_max, harmonic_iid_expected_max
+from _oracles import (
+    brute_expected_max,
+    brute_variance_of_max,
+    harmonic_iid_expected_max,
+    kth_order_response,
+    order_statistic_check,
+)
 
 rate_lists = st.lists(st.floats(0.05, 50.0), min_size=1, max_size=8)
 
@@ -39,51 +44,49 @@ def test_pool_validation():
 
 
 # Single-worker draws go through member_responses with a one-member superarm,
-# which consumes exactly one variate per call.
+# which consumes exactly one variate per row.
 
 
 def test_sample_response_replay_and_positivity():
     pool = WorkerPool([1.0])
-    a = member_responses(pool, [0], np.random.default_rng(1234))
-    b = member_responses(pool, [0], np.random.default_rng(1234))
-    assert a.shape == (1,) and a[0] == b[0]
-    assert a[0] > 0
+    a = member_responses(pool, [0], np.random.default_rng(1234), 1)
+    b = member_responses(pool, [0], np.random.default_rng(1234), 1)
+    assert a.shape == (1, 1) and a[0, 0] == b[0, 0]
+    assert a[0, 0] > 0
 
 
 def test_sample_response_index_fault():
     pool = WorkerPool([1.0, 2.0])
     with pytest.raises(ValueError):
-        member_responses(pool, [2], np.random.default_rng(0))
+        member_responses(pool, [2], np.random.default_rng(0), 1)
     with pytest.raises(ValueError):
-        member_responses(pool, [-1], np.random.default_rng(0))
+        member_responses(pool, [-1], np.random.default_rng(0), 1)
 
 
 def test_sample_response_empirical_mean():
     pool = WorkerPool([2.0])
-    rng = np.random.default_rng(7)
-    draws = np.array([member_responses(pool, [0], rng)[0] for _ in range(200_000)])
+    draws = member_responses(pool, [0], np.random.default_rng(7), 200_000)[:, 0]
     assert abs(draws.mean() - 0.5) < 0.005
 
 
 def test_sample_response_survival_probability():
     pool = WorkerPool([10.0])
-    rng = np.random.default_rng(8)
-    draws = np.array([member_responses(pool, [0], rng)[0] for _ in range(200_000)])
+    draws = member_responses(pool, [0], np.random.default_rng(8), 200_000)[:, 0]
     assert abs((draws > 0.1).mean() - math.exp(-1)) < 0.005
 
 
 def test_superarm_singleton_equals_single_draw():
     pool = WorkerPool([1.0, 3.0])
-    a = member_responses(pool, [1], np.random.default_rng(5))
+    a = member_responses(pool, [1], np.random.default_rng(5), 1)
     b = np.random.default_rng(5).exponential(pool.means[1])
-    assert a.shape == (1,) and a[0] == b
+    assert a.shape == (1, 1) and a[0, 0] == b
 
 
 def test_superarm_draw_accounting():
     # consumes exactly |superarm| variates, ascending index order
     pool = WorkerPool([1.0, 2.0, 4.0])
     rng = np.random.default_rng(11)
-    got = member_responses(pool, [2, 0], rng)
+    got = member_responses(pool, [2, 0], rng, 1)[0]
     ref = np.random.default_rng(11).exponential(pool.means[[0, 2]])
     np.testing.assert_array_equal(got, ref)
     # generator advanced by exactly two variates
@@ -92,14 +95,17 @@ def test_superarm_draw_accounting():
 
 @pytest.mark.parametrize("iterations", [1, 3, 2000])
 def test_block_draws_equal_single_calls(iterations):
+    # row i equals the i-th of L per-iteration draws of the same scales
     pool = WorkerPool(np.linspace(0.3, 9.0, 12))
     arm = [1, 4, 5, 11]
     block_rng, single_rng = np.random.default_rng(31), np.random.default_rng(31)
     members = member_responses(pool, arm, block_rng, iterations)
     workers = response_vector(pool, block_rng, iterations)
     assert members.shape == (iterations, len(arm)) and workers.shape == (iterations, pool.n)
-    assert members.tobytes() == np.array([member_responses(pool, arm, single_rng) for _ in range(iterations)]).tobytes()
-    assert workers.tobytes() == np.array([response_vector(pool, single_rng) for _ in range(iterations)]).tobytes()
+    single_members = np.array([single_rng.exponential(pool.means[arm]) for _ in range(iterations)])
+    single_workers = np.array([single_rng.exponential(pool.means) for _ in range(iterations)])
+    assert members.tobytes() == single_members.tobytes()
+    assert workers.tobytes() == single_workers.tobytes()
     # both generators end in the same state
     assert block_rng.random() == single_rng.random()
     with pytest.raises(ValueError, match="iterations"):
@@ -109,10 +115,10 @@ def test_block_draws_equal_single_calls(iterations):
 def test_superarm_empirical_means():
     rng = np.random.default_rng(21)
     pool = WorkerPool([1.0, 1.0])
-    draws = np.array([member_responses(pool, [0, 1], rng).max() for _ in range(100_000)])
+    draws = member_responses(pool, [0, 1], rng, 100_000).max(axis=1)
     assert abs(draws.mean() - 1.5) < 0.01
     pool2 = WorkerPool([2.0, 4.0])
-    draws2 = np.array([member_responses(pool2, [0, 1], rng).max() for _ in range(100_000)])
+    draws2 = member_responses(pool2, [0, 1], rng, 100_000).max(axis=1)
     assert abs(draws2.mean() - 7.0 / 12.0) < 0.005
 
 
@@ -120,38 +126,61 @@ def test_superarm_faults():
     pool = WorkerPool([1.0, 2.0])
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        member_responses(pool, [], rng)
+        member_responses(pool, [], rng, 1)
     with pytest.raises(ValueError):
-        member_responses(pool, [0, 0], rng)
+        member_responses(pool, [0, 0], rng, 1)
     with pytest.raises(ValueError):
-        member_responses(pool, [0, 5], rng)
+        member_responses(pool, [0, 5], rng, 1)
+
+
+# The k-th order statistic of a draw is a row reduction of a response_vector
+# block; the per-draw oracle partitions one draw call at a time.
 
 
 def test_kth_order_extremes_and_faults():
     pool = WorkerPool([1.0, 2.0, 3.0])
-    val = kth_order_response(pool, 3, rng=np.random.default_rng(3))
-    ref = np.random.default_rng(3).exponential(pool.means)
-    assert val == ref.max()
-    assert kth_order_response(pool, 1, np.random.default_rng(3)) == ref.min()
-    with pytest.raises(ValueError):
-        kth_order_response(pool, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        kth_order_response(pool, 4, np.random.default_rng(0))
+    block = response_vector(pool, np.random.default_rng(3), 60)
+    reduced = np.concatenate([block[:20].min(axis=1), np.sort(block[20:40], axis=1)[:, 1], block[40:].max(axis=1)])
+    oracle_rng = np.random.default_rng(3)
+    per_draw = [kth_order_response(pool.rates, k, oracle_rng) for k in (1, 2, 3) for _ in range(20)]
+    assert reduced.tolist() == per_draw
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="iterations"):
+            response_vector(pool, np.random.default_rng(0), bad)
 
 
 def test_kth_order_min_of_iid_pool():
     n = 5
     pool = WorkerPool(np.ones(n))
-    rng = np.random.default_rng(13)
-    draws = np.array([kth_order_response(pool, 1, rng) for _ in range(100_000)])
+    draws = response_vector(pool, np.random.default_rng(13), 100_000).min(axis=1)
     assert abs(draws.mean() - 1.0 / n) < 0.01 / n
 
 
 def test_kth_order_max_matches_superarm_oracle():
     pool = WorkerPool([1.0, 1.0])
-    rng = np.random.default_rng(17)
-    draws = np.array([kth_order_response(pool, 2, rng) for _ in range(100_000)])
+    draws = response_vector(pool, np.random.default_rng(17), 100_000).max(axis=1)
     assert abs(draws.mean() - 1.5) < 0.01
+
+
+@pytest.mark.parametrize("samples", [2, 5, 50])
+def test_order_statistics_check_matches_per_draw_oracle(samples):
+    outcomes = set()
+    for seed in range(25):
+        block_rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = check_order_statistics(samples, block_rng)
+        assert (result.passed, result.detail) == order_statistic_check(samples, oracle_rng)
+        assert block_rng.bit_generator.state == oracle_rng.bit_generator.state
+        outcomes.add(result.passed)
+    if samples < 50:
+        assert outcomes == {True, False}  # both branches were compared
+
+
+def test_order_statistics_check_without_samples_draws_nothing():
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    result = check_order_statistics(0, rng)
+    assert not result.passed and result.detail == "no samples"
+    assert rng.bit_generator.state == before
 
 
 def test_expected_max_closed_cases():

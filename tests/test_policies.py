@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from banditsgd.latency import WorkerPool, expected_max, kth_order_response
+from banditsgd.harness import ExperimentConfig, run_single, stream_rng
+from banditsgd.latency import WorkerPool, expected_max
 from banditsgd.policies import (
     PLAIN,
     SCALED,
@@ -270,17 +271,27 @@ def test_record_outcome_block_shape_faults():
 # ---------------------------------------------------------------- k-sync draw
 
 
+def ksync_trace(worker_means, schedule, seed):
+    """An adaptive-ksync run of a latency-only config and the draws of its latency stream."""
+    n, b = len(worker_means), schedule.count(",") + 1
+    cfg = ExperimentConfig(n=n, b=b, schedule=schedule, worker_means=worker_means, simulate_sgd=False, seeds=(seed,))
+    trace = run_single(cfg, "adaptive-ksync", seed)
+    draws = stream_rng(seed, "worker-latency").exponential(worker_means, size=(len(trace), n))
+    return trace, draws
+
+
 def test_ksync_k_equals_n_waits_for_slowest():
-    pool = WorkerPool([1.0, 2.0, 4.0])
-    t = kth_order_response(pool, 3, np.random.default_rng(5))
-    assert t == np.random.default_rng(5).exponential(pool.means).max()
+    # rounds of 1, 2 and 3 workers; from iteration 3 on r = n
+    trace, draws = ksync_trace((1.0, 0.5, 0.25), "1,2,40", seed=5)
+    np.testing.assert_array_equal(trace.response_times[2:], draws[2:].max(axis=1))
+    assert trace.response_times[0] == draws[0].min()
+    assert trace.response_times[1] == np.sort(draws[1])[1]
 
 
 def test_ksync_fastest_of_two_empirical_mean():
-    pool = WorkerPool([1.0, 1.0])
-    rng = np.random.default_rng(6)
-    draws = np.array([kth_order_response(pool, 1, rng) for _ in range(100_000)])
-    assert abs(draws.mean() - 0.5) < 0.01
+    trace, draws = ksync_trace((1.0, 1.0), "100000", seed=6)
+    np.testing.assert_array_equal(trace.response_times, draws.min(axis=1))
+    assert abs(trace.response_times.mean() - 0.5) < 0.01
 
 
 # ---------------------------------------------------------------- scheduling

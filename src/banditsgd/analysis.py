@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,7 +109,6 @@ class RunTrace:
     pulls: np.ndarray
     response_sums: np.ndarray
     suboptimal_pulls: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return int(self.rounds.size)

@@ -9,8 +9,6 @@ import json
 import logging
 import sys
 
-import numpy as np
-
 from . import analysis, harness, verify
 from .latency import WorkerPool
 
@@ -24,6 +22,16 @@ def _build_config(args) -> harness.ExperimentConfig:
     if args.config:
         return harness.ExperimentConfig.from_file(args.config, **overrides)
     return harness.ExperimentConfig.from_mapping(overrides)
+
+
+def _comma_list(kind):
+    """An argparse ``type`` for comma-separated ``kind`` values; argparse names the flag of a bad one."""
+
+    def parse(text: str) -> list:
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
 
 
 def _cmd_run(args) -> int:
@@ -55,10 +63,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = _build_config(args)
-    if args.rates:
-        pool = WorkerPool(np.array([float(tok) for tok in args.rates.split(",")]))
-    else:
-        pool = harness.build_pool(config, config.seeds[0])
+    pool = WorkerPool(args.rates) if args.rates else harness.build_pool(config, config.seeds[0])
     if pool.n < config.b:
         raise ValueError(f"pool has {pool.n} workers but b={config.b}")
     problem = None
@@ -69,8 +74,7 @@ def _cmd_bounds(args) -> int:
     schedule, _ = harness.resolve_schedule(config, problem)
 
     gaps = analysis.compute_gaps(pool, schedule)
-    js = [int(tok) for tok in args.j.split(",")] if args.j else list(schedule.switching_points)
-    eps_grid = [float(tok) for tok in args.eps.split(",")]
+    js = args.j or list(schedule.switching_points)
     payload = {
         "rates": pool.rates.tolist(),
         "switching_points": list(schedule.switching_points),
@@ -88,7 +92,7 @@ def _cmd_bounds(args) -> int:
         if table is not None:
             row.update((name, float(column[i])) for name, column in table.items())
         payload["regret_bounds"].append(row)
-        for eps in eps_grid:
+        for eps in args.eps:
             regret = args.regret
             if regret is None:
                 regret = row.get("bound_tighter", 0.0)
@@ -173,9 +177,10 @@ def main(argv=None) -> int:
 
     p_bnd = sub.add_parser("bounds", help="evaluate gap, regret, and completion-time bounds")
     add_common(p_bnd)
-    p_bnd.add_argument("--rates", help="comma-separated worker rates (else sampled from the config)")
-    p_bnd.add_argument("--j", help="comma-separated iterations (default: switching points)")
-    p_bnd.add_argument("--eps", default="0.5,1,2", help="comma-separated confidence parameters")
+    floats = _comma_list(float)
+    p_bnd.add_argument("--rates", type=floats, help="comma-separated worker rates (else sampled from the config)")
+    p_bnd.add_argument("--j", type=_comma_list(int), help="comma-separated iterations (default: switching points)")
+    p_bnd.add_argument("--eps", type=floats, default="0.5,1,2", help="comma-separated confidence parameters")
     p_bnd.add_argument("--regret", type=float, help="regret value for the time bound (default: worst-case bound)")
     p_bnd.add_argument("--out", help="JSON output path (default: stdout)")
     p_bnd.set_defaults(func=_cmd_bounds)

@@ -61,7 +61,8 @@ class ExperimentConfig:
     derived from the convergence bound with proximity factor ``theta``) or a
     comma-separated list of ``b`` strictly increasing iteration indices.
     Worker means are drawn from the grid ``mean_min..mean_max`` in steps of
-    ``mean_step``, with replacement unless ``distinct_means`` is set.
+    ``mean_step`` (a whole number of steps), with replacement unless
+    ``distinct_means`` is set. Policies and seeds are listed once each.
     """
 
     n: int = 50
@@ -103,12 +104,19 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ValueError(f"unknown policy {p!r}; choose from {POLICY_NAMES}")
+        for key in ("policies", "seeds"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{key} must not repeat an entry, got {values}")
         if self.variant not in ("plain", "scaled"):
             raise ValueError("variant must be 'plain' or 'scaled'")
-        if not 0 < self.mean_min <= self.mean_max:
-            raise ValueError("need 0 < mean_min <= mean_max")
-        if self.mean_step <= 0:
-            raise ValueError("mean_step must be > 0")
+        if not 0 < self.mean_min <= self.mean_max < math.inf:
+            raise ValueError(f"need 0 < mean_min <= mean_max < inf, got {self.mean_min} and {self.mean_max}")
+        if not 0 < self.mean_step < math.inf:
+            raise ValueError(f"mean_step must be finite and > 0, got {self.mean_step}")
+        steps = (self.mean_max - self.mean_min) / self.mean_step
+        if not math.isclose(steps, round(steps), rel_tol=1e-9):
+            raise ValueError(f"mean_step={self.mean_step} must divide mean_max - mean_min into whole steps")
         if self.m < 1 or self.d < 1:
             raise ValueError(f"need m >= 1 and d >= 1, got m={self.m}, d={self.d}")
         if not self.eta > 0:
@@ -329,11 +337,12 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     bandit and omniscient runs consume r exponential variates (ascending
     member order) from the latency stream, the k-sync baseline n (index
     order), in iteration order; the learning trajectory consumes r*m uniforms
-    from the batch stream whatever the policy. The stream is drawn in blocks,
-    which consumes it the same way: a round at a time for the omniscient and
-    k-sync policies, whose choices need no feedback, and the whole run at once
-    as standard exponentials for the bandit, scaled by the chosen members'
-    means as it picks them.
+    from the batch stream whatever the policy. The stream is drawn a round at
+    a time, which consumes it the same way. The omniscient and k-sync
+    policies, whose choices need no feedback, book the round as one block,
+    k-sync as the superarm of all n workers; the bandit draws standard
+    exponentials and scales each iteration's row by the chosen members' means
+    as it picks them.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -347,77 +356,51 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     variant = policy_variant(policy, config)
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
-    horizon = schedule.horizon
 
-    offsets = np.zeros(horizon + 1, dtype=np.int64)
+    offsets = np.zeros(schedule.horizon + 1, dtype=np.int64)
     np.cumsum(rounds, out=offsets[1:])
     members = np.empty(offsets[-1], dtype=np.int32)
-    employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
+    member_resp = np.empty(offsets[-1], dtype=np.float64)
+    employ = np.full(schedule.horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
     state = BanditState.zeros(n)
-    ksync_sums = np.zeros(n, dtype=np.float64)
 
-    if variant is not None:
-        # scaling a standard exponential by the mean is exactly how member_responses draws it
-        member_resp = latency_rng.standard_exponential(offsets[-1])
-        for j, (r, lo, hi) in enumerate(zip(rounds.tolist(), offsets[:-1].tolist(), offsets[1:].tolist()), start=1):
-            arm = select_superarm_cmab(state, variant, r, j)
-            members[lo:hi] = arm
-            resp = member_resp[lo:hi]
-            resp *= pool.means[arm]
-            record_outcome(state, arm, resp, pool, r, j)
-    else:
-        member_resp = np.empty(offsets[-1], dtype=np.float64)
-        start = 0
-        for r, stop in enumerate(schedule.switching_points, start=1):
-            count, lo, hi = stop - start, offsets[start], offsets[stop]
-            if is_ksync:
-                draws = response_vector(pool, latency_rng, count)
-                arms = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
-                resp = np.take_along_axis(draws, arms, axis=1)
-                # row after row, as per-iteration additions would
-                ksync_sums = np.cumsum(np.vstack([ksync_sums, draws]), axis=0)[-1]
-            else:
-                arm = select_superarm_optimal(pool, r)
-                resp = member_responses(pool, arm, latency_rng, count)
-                record_outcome(state, arm, resp, pool, r, start + 1)
-                arms = np.broadcast_to(arm, resp.shape)
-            members[lo:hi] = arms.ravel()
-            member_resp[lo:hi] = resp.ravel()
-            start = stop
-    times = np.maximum.reduceat(member_resp, offsets[:-1])
+    start = 0
+    for r, stop in enumerate(schedule.switching_points, start=1):
+        count, lo, hi = stop - start, offsets[start], offsets[stop]
+        arms, resp = members[lo:hi].reshape(count, r), member_resp[lo:hi].reshape(count, r)
+        if variant is not None:
+            # scaling a standard exponential by the mean is exactly how member_responses draws it
+            latency_rng.standard_exponential(out=resp)
+            for i, j in enumerate(range(start + 1, stop + 1)):
+                arms[i] = arm = select_superarm_cmab(state, variant, r, j)
+                resp[i] *= pool.means[arm]
+                record_outcome(state, arm, resp[i], pool, r, j)
+        elif is_ksync:
+            draws = response_vector(pool, latency_rng, count)
+            arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
+            resp[:] = np.take_along_axis(draws, arms, axis=1)
+            record_outcome(state, np.arange(n), draws, pool, n, start + 1)
+        else:
+            arms[:] = arm = select_superarm_optimal(pool, r)
+            resp[:] = member_responses(pool, arm, latency_rng, count)
+            record_outcome(state, arm, resp, pool, r, start + 1)
+        start = stop
 
-    if is_ksync:
-        pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)
-    else:
-        pulls, sums, subopt = state.pulls, state.response_sums, state.suboptimal_pulls
-
-    metadata = {
-        "config": config.as_dict(),
-        "schedule_mode": "explicit" if config.switching_points() is not None else "computed",
-        "bound_params": dataclasses.asdict(setup.params) if setup.params is not None else None,
-        "budget": schedule.budget,
-        "worker_indexing": "0-based",
-        "batch_scheme": "uniform without replacement per worker, independent across workers and iterations",
-        "latency_redraw": "independent per iteration",
-    }
-    if config.switching_points() is None:
-        metadata["theta"] = config.theta
     return RunTrace(
         policy=policy,
         seed=int(seed),
         schedule=schedule,
         rates=pool.rates,
         rounds=rounds,
-        response_times=times,
+        response_times=np.maximum.reduceat(member_resp, offsets[:-1]),
         employments=employ,
         model_errors=setup.model_errors,
         member_offsets=offsets,
         members=members,
         member_responses=member_resp,
-        pulls=pulls.copy(),
-        response_sums=sums.copy(),
-        suboptimal_pulls=subopt.copy(),
-        metadata=metadata,
+        pulls=state.pulls,
+        response_sums=state.response_sums,
+        suboptimal_pulls=state.suboptimal_pulls,
     )
 
 
@@ -480,7 +463,8 @@ def run_comparison(config: ExperimentConfig):
     """Run every configured (policy, seed) pair and build the figure tables.
 
     Each seed's ``SeedSetup`` (pool, problem, schedule, learning trajectory)
-    and round reference means are computed once and shared by every policy.
+    and round reference means, read from one gap report on a pinned pool, are
+    computed once and shared by every policy.
     Computed schedules must agree across seeds; that is checked before any run.
 
     Returns a dict with per-policy seed-averaged error curves (indexed by
@@ -496,14 +480,19 @@ def run_comparison(config: ExperimentConfig):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
     traces = {p: [run_single(config, p, s.seed, s) for s in setups] for p in config.policies}
     bandits = [p for p in traces if policy_variant(p, config) is not None]
-    references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
     horizon = setups[0].schedule.horizon
     bound = None
     if bandits and config.pool_seed is not None:
-        # one pinned pool: the worst-case guarantee is the same for every bandit policy
+        # one pinned pool: one gap report gives every seed's reference means and
+        # the worst-case guarantee, the same for every bandit policy
+        pool, schedule = setups[0].pool, setups[0].schedule
+        gaps = analysis.compute_gaps(pool, schedule)
+        references = [gaps.optimal_means] * len(setups)
         bound = analysis.regret_bound_table(
-            setups[0].pool, setups[0].schedule, np.arange(1, horizon + 1), tail_term=config.bound_tail_term
+            pool, schedule, np.arange(1, horizon + 1), gaps=gaps, tail_term=config.bound_tail_term
         )
+    else:
+        references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
 
     error_curves = {}
     employment_profiles = {}

@@ -97,6 +97,8 @@ def test_run_reports_faults_with_exit_code(tmp_path, cfg_file, capsys):
     [
         (["--schedule", "35,15,60"], "error: schedule '35,15,60': switching points must be strictly increasing"),
         (["--seeds", "0,-1"], "error: seeds must all be >= 0"),
+        (["--seeds", "0,0"], "error: seeds must not repeat an entry"),
+        (["--policies", "optimal,optimal"], "error: policies must not repeat an entry"),
     ],
 )
 def test_config_faults_fail_before_any_run(tmp_path, cfg_file, capsys, monkeypatch, flags, message):
@@ -202,6 +204,17 @@ def test_bounds_emits_json(tmp_path, capsys):
     assert len(payload["time_bounds"]) == 4
     assert all(0.0 <= row["probability"] <= 1.0 for row in payload["time_bounds"])
     assert payload["regret_bounds"][0]["bound_tighter"] > 0
+
+
+@pytest.mark.parametrize(
+    "flag, value, kind", [("--eps", "abc", "float"), ("--j", "1.5", "int"), ("--rates", "1,x", "float")]
+)
+def test_bounds_list_flags_name_the_flag(tmp_path, capsys, flag, value, kind):
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\nschedule = 5,10\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", cfg, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid comma-separated {kind} value: '{value}'" in capsys.readouterr().err
 
 
 def test_log_level_surfaces_library_warnings(tmp_path, capsys):

@@ -2,13 +2,14 @@
 
 import csv
 import dataclasses
+import glob
 import math
 import os
 
 import numpy as np
 import pytest
 
-from banditsgd import sgd
+from banditsgd import analysis, sgd
 from banditsgd.analysis import RunTrace
 from banditsgd.harness import (
     TRACE_HEADER,
@@ -90,6 +91,28 @@ def test_config_validation():
             ExperimentConfig(**{key: -1})
     with pytest.raises(ValueError, match="need j_cap >= b"):
         ExperimentConfig(b=20, j_cap=19)
+    for key, value in (("seeds", (0, 0)), ("policies", ("optimal", "optimal"))):
+        with pytest.raises(ValueError, match=f"{key} must not repeat an entry"):
+            ExperimentConfig(**{key: value})
+    with pytest.raises(ValueError, match="mean_max < inf"):
+        ExperimentConfig(mean_max=math.inf)
+    for step in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="mean_step must be finite and > 0"):
+            ExperimentConfig(mean_step=step)
+    with pytest.raises(ValueError, match="mean_step=0.3 must divide mean_max - mean_min into whole steps"):
+        ExperimentConfig(mean_step=0.3)
+    # (0.8 - 0.2) / 0.05 is 12.000000000000002: a whole number within rounding
+    assert ExperimentConfig(mean_min=0.2, mean_max=0.8, mean_step=0.05).mean_grid().size == 13
+
+
+def test_committed_configs_load():
+    # the benchmark's config templates load on their own, before it appends the seed lines
+    paths = glob.glob(os.path.join(CONFIG_DIR, "*.cfg")) + glob.glob(
+        os.path.join(CONFIG_DIR, os.pardir, "perfbench", "configs", "*.cfg")
+    )
+    assert len(paths) >= 6
+    for path in paths:
+        ExperimentConfig.from_file(path)
 
 
 def _as_text(value) -> str:
@@ -329,8 +352,7 @@ def test_bandit_only_mode():
 def test_computed_schedule_end_to_end():
     cfg = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-6, j_cap=500)
     trace = run_single(cfg, "optimal", 0)
-    assert trace.metadata["schedule_mode"] == "computed"
-    assert trace.metadata["bound_params"] is not None
+    assert SeedSetup.build(cfg, 0).params is not None
     assert trace.schedule.b == 3
     assert trace.schedule.horizon <= 500
 
@@ -403,6 +425,26 @@ def test_run_comparison_tables(tmp_path):
     assert (out / "error_curve_adaptive-ksync.csv").exists()
     assert (out / "regret_cmab-plain.csv").exists()
     assert (out / "employments_optimal.csv").exists()
+
+
+def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch):
+    cfg = small_config(pool_seed=5, seeds=(0, 1, 2), policies=("cmab-plain", "cmab-scaled", "optimal"))
+    pool = build_pool(cfg, 0)
+    schedule = RoundSchedule(cfg.switching_points())
+    reference = analysis.round_reference_means(pool, schedule)
+
+    def no_reference(*args, **kwargs):
+        raise AssertionError("round_reference_means called on a pinned pool")
+
+    monkeypatch.setattr(analysis, "round_reference_means", no_reference)
+    result = run_comparison(cfg)
+    bound = analysis.regret_bound_table(pool, schedule, np.arange(1, schedule.horizon + 1))
+    for policy in ("cmab-plain", "cmab-scaled"):
+        runs = result["traces"][policy]
+        expected = np.mean([analysis.empirical_regret(t, pool, schedule, reference) for t in runs], axis=0)
+        assert np.array_equal(result["regret"][policy]["mean_regret"], expected)
+        for column, values in bound.items():
+            assert np.array_equal(result["regret"][policy][column], values)
 
 
 def test_run_comparison_shares_one_trajectory_per_seed(monkeypatch):

@@ -25,23 +25,21 @@ class GapReport:
     ``optimal_means[r-1]`` is the expected completion time of the best
     size-r superarm and ``optimal_variances[r-1]`` its variance,
     ``worst_means[r-1]`` the expected completion time of the worst, and
-    ``delta_max[r-1]`` the difference of the two means. ``position_gaps[v-1]``
-    is the smallest amount by which any employable v-th fastest choice can
+    ``delta_max[r-1]`` the difference of the two means. ``delta_min`` is the
+    smallest amount by which any employable choice's v-th fastest mean can
     exceed the optimal v-th mean (infinity when no strictly slower choice
-    exists); ``delta_min`` is the minimum over positions.
+    exists).
     """
 
-    optimal_superarms: tuple
     optimal_means: np.ndarray
     optimal_variances: np.ndarray
     worst_means: np.ndarray
     delta_max: np.ndarray
-    position_gaps: np.ndarray
     delta_min: float
 
 
 def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
-    """Exact gap report for rounds 1..b.
+    """Exact gap report for rounds 1..b; best and worst superarms come from ``pool.speed_order``.
 
     The minimum per-arm gap reduces to adjacent distinct-mean gaps: for
     position v, the closest strictly-slower alternative to the optimal v-th
@@ -53,34 +51,24 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     b = schedule.b
     if b > pool.n:
         raise ValueError(f"schedule has {b} rounds but the pool only {pool.n} workers")
-    optimal_superarms = []
     optimal_means = np.empty(b)
     optimal_variances = np.empty(b)
     worst_means = np.empty(b)
-    slow_order = np.argsort(pool.means, kind="stable")[::-1]
     for r in range(1, b + 1):
         best = select_superarm_optimal(pool, r)
-        optimal_superarms.append(best)
         optimal_means[r - 1], optimal_variances[r - 1] = max_moments(pool.rates[best])
-        worst_means[r - 1] = expected_max(pool.rates[np.sort(slow_order[:r])])
-    delta_max = worst_means - optimal_means
+        worst_means[r - 1] = expected_max(pool.rates[np.sort(pool.speed_order[pool.n - r :])])
 
-    sorted_means = pool.sorted_means
-    position_gaps = np.full(b, np.inf)
-    for v in range(1, min(b, pool.n) + 1):
-        ref = sorted_means[v - 1]
-        slower = sorted_means[sorted_means > ref]
-        if slower.size:
-            position_gaps[v - 1] = slower[0] - ref
-    delta_min = float(position_gaps.min())
+    means, head = pool.sorted_means, pool.sorted_means[:b]
+    # next strictly slower mean minus the v-th; a position with none clips to the slowest and gives 0
+    gaps = means[np.searchsorted(means, head, side="right").clip(max=pool.n - 1)] - head
+    delta_min = float(gaps[gaps > 0].min(initial=np.inf))
 
     return GapReport(
-        optimal_superarms=tuple(optimal_superarms),
         optimal_means=optimal_means,
         optimal_variances=optimal_variances,
         worst_means=worst_means,
-        delta_max=delta_max,
-        position_gaps=position_gaps,
+        delta_max=worst_means - optimal_means,
         delta_min=delta_min,
     )
 
@@ -98,7 +86,7 @@ class RunTrace:
     policy: str
     seed: int
     schedule: RoundSchedule
-    rates: np.ndarray
+    pool: WorkerPool
     rounds: np.ndarray
     response_times: np.ndarray
     employments: np.ndarray
@@ -135,7 +123,7 @@ class RunTrace:
         """Per-worker employment counts within the last round of the schedule."""
         start = 0 if self.schedule.b == 1 else self.schedule.switching_points[-2]
         lo = int(self.member_offsets[start])
-        return np.bincount(self.members[lo:], minlength=self.rates.size)
+        return np.bincount(self.members[lo:], minlength=self.pool.n)
 
 
 def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:
@@ -158,7 +146,7 @@ def empirical_regret(
     """
     if trace.schedule.switching_points != schedule.switching_points:
         raise ValueError("trace was produced under a different schedule")
-    if trace.rates.size != pool.n or not np.array_equal(trace.rates, pool.rates):
+    if not np.array_equal(trace.pool.rates, pool.rates):
         raise ValueError("trace was produced on a different worker pool")
     if reference_means is None:
         reference_means = round_reference_means(pool, schedule)

@@ -71,7 +71,7 @@ def _cmd_bounds(args) -> int:
         if not config.simulate_sgd:
             raise ValueError("computed schedule mode needs simulate_sgd=true")
         problem = harness.build_problem(config, config.seeds[0])
-    schedule, _ = harness.resolve_schedule(config, problem)
+    schedule = harness.resolve_schedule(config, problem)
 
     gaps = analysis.compute_gaps(pool, schedule)
     js = args.j or list(schedule.switching_points)

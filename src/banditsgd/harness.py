@@ -4,8 +4,8 @@ Every run derives all randomness from its seed through named, independent
 generator streams (data-generation, mean-assignment, worker-latency,
 batch-sampling), so policies compared under the same seed share the worker
 pool, the dataset, and the batch draws; they differ only in scheduling. A
-fixed ``pool_seed`` (or ``data_seed``) pins the pool (or dataset) across run
-seeds for experiments that average over a single environment.
+fixed ``pool_seed`` or ``worker_means`` (``data_seed``) pins the pool (dataset)
+across run seeds for experiments that average over a single environment.
 """
 
 from __future__ import annotations
@@ -144,6 +144,11 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ValueError(f"schedule {self.schedule!r}: {exc}") from None
 
+    @property
+    def pool_is_pinned(self) -> bool:
+        """True when every run seed gets the same worker pool (``pool_seed`` or ``worker_means`` set)."""
+        return self.pool_seed is not None or self.worker_means is not None
+
     def switching_points(self) -> tuple | None:
         """Explicit switching points, or None for computed mode."""
         if self.schedule.strip() == "computed":
@@ -244,19 +249,13 @@ def benchmark_config(**overrides) -> ExperimentConfig:
     return base.replace(**overrides) if overrides else base
 
 
-def sample_worker_means(config: ExperimentConfig, rng: np.random.Generator) -> np.ndarray:
-    grid = config.mean_grid()
-    return rng.choice(grid, size=config.n, replace=not config.distinct_means)
-
-
 def build_pool(config: ExperimentConfig, seed: int) -> WorkerPool:
-    """Worker pool for one run; pinned across runs when pool_seed is set,
-    or fixed outright by an explicit worker_means list."""
+    """Worker pool for one run: fixed outright by an explicit worker_means list,
+    else means drawn from the config's grid, pinned across runs when pool_seed is set."""
     if config.worker_means is not None:
         return WorkerPool(1.0 / np.asarray(config.worker_means, dtype=np.float64))
-    pool_seed = config.pool_seed if config.pool_seed is not None else seed
-    means = sample_worker_means(config, stream_rng(pool_seed, "mean-assignment"))
-    return WorkerPool(1.0 / means)
+    rng = stream_rng(config.pool_seed if config.pool_seed is not None else seed, "mean-assignment")
+    return WorkerPool(1.0 / rng.choice(config.mean_grid(), size=config.n, replace=not config.distinct_means))
 
 
 def build_problem(config: ExperimentConfig, seed: int) -> sgd.SgdProblem:
@@ -266,15 +265,14 @@ def build_problem(config: ExperimentConfig, seed: int) -> sgd.SgdProblem:
     )
 
 
-def resolve_schedule(config: ExperimentConfig, problem=None):
-    """Schedule plus the bound parameters used (None in explicit mode)."""
+def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
+    """The config's explicit schedule, or one computed from the problem's bound constants."""
     points = config.switching_points()
     if points is not None:
-        return RoundSchedule(points), None
+        return RoundSchedule(points)
     if problem is None:
         raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
-    params = sgd.estimate_bound_params(problem)
-    return compute_schedule(params, config.b, config.theta, config.j_cap), params
+    return compute_schedule(sgd.estimate_bound_params(problem), config.b, config.theta, config.j_cap)
 
 
 def policy_variant(policy: str, config: ExperimentConfig) -> RadiusVariant | None:
@@ -291,29 +289,31 @@ def policy_variant(policy: str, config: ExperimentConfig) -> RadiusVariant | Non
 class SeedSetup:
     """What every policy's run of one seed shares: pool, problem, schedule.
 
-    ``model_errors`` is the seed's learning trajectory. It is computed on
-    first use and then handed, read-only, to every policy's trace: the SGD
-    step reads only the batch stream and each iteration's ``r``, never the
-    chosen workers, so it is the same for every policy.
+    ``rounds`` (each iteration's round) and ``offsets`` (their cumulative sum,
+    a trace's ``member_offsets``) are read-only. ``model_errors`` is the
+    seed's learning trajectory. It is computed on first use and then handed,
+    read-only, to every policy's trace: the SGD step reads only the batch
+    stream and each iteration's ``r``, never the chosen workers, so it is the
+    same for every policy.
     """
 
     seed: int
     pool: WorkerPool
     problem: sgd.SgdProblem | None
     schedule: RoundSchedule
-    params: sgd.BoundParams | None
     rounds: np.ndarray
+    offsets: np.ndarray
 
     @classmethod
     def build(cls, config: ExperimentConfig, seed: int) -> "SeedSetup":
         pool = build_pool(config, seed)
         problem = build_problem(config, seed) if config.simulate_sgd else None
-        schedule, params = resolve_schedule(config, problem)
-        if schedule.b != config.b:
-            raise ValueError(f"schedule has {schedule.b} rounds but config.b={config.b}")
+        schedule = resolve_schedule(config, problem)
         rounds = schedule.rounds_of(np.arange(1, schedule.horizon + 1)).astype(np.int64)
-        rounds.flags.writeable = False
-        return cls(int(seed), pool, problem, schedule, params, rounds)
+        offsets = np.zeros(schedule.horizon + 1, dtype=np.int64)
+        np.cumsum(rounds, out=offsets[1:])
+        rounds.flags.writeable = offsets.flags.writeable = False
+        return cls(int(seed), pool, problem, schedule, rounds, offsets)
 
     @functools.cached_property
     def model_errors(self) -> np.ndarray:
@@ -350,15 +350,13 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         setup = SeedSetup.build(config, seed)
     elif setup.seed != seed:
         raise ValueError(f"setup was built for seed {setup.seed}, not {seed}")
-    pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
+    pool, schedule, rounds, offsets = setup.pool, setup.schedule, setup.rounds, setup.offsets
 
     latency_rng = stream_rng(seed, "worker-latency")
     variant = policy_variant(policy, config)
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
 
-    offsets = np.zeros(schedule.horizon + 1, dtype=np.int64)
-    np.cumsum(rounds, out=offsets[1:])
     members = np.empty(offsets[-1], dtype=np.int32)
     member_resp = np.empty(offsets[-1], dtype=np.float64)
     employ = np.full(schedule.horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
@@ -390,7 +388,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         policy=policy,
         seed=int(seed),
         schedule=schedule,
-        rates=pool.rates,
+        pool=pool,
         rounds=rounds,
         response_times=np.maximum.reduceat(member_resp, offsets[:-1]),
         employments=employ,
@@ -442,7 +440,7 @@ def identify_fastest(traces) -> IdentificationReport:
         b = trace.schedule.b
         counts = trace.final_round_counts()
         chosen = np.sort(np.argsort(-counts, kind="stable")[:b])
-        truth = np.sort(np.argsort(1.0 / trace.rates, kind="stable")[:b])
+        truth = np.sort(trace.pool.speed_order[:b])
         overlap = np.intersect1d(chosen, truth).size
         identified.append(chosen)
         accuracies.append(overlap / b)
@@ -482,7 +480,7 @@ def run_comparison(config: ExperimentConfig):
     bandits = [p for p in traces if policy_variant(p, config) is not None]
     horizon = setups[0].schedule.horizon
     bound = None
-    if bandits and config.pool_seed is not None:
+    if bandits and config.pool_is_pinned:
         # one pinned pool: one gap report gives every seed's reference means and
         # the worst-case guarantee, the same for every bandit policy
         pool, schedule = setups[0].pool, setups[0].schedule
@@ -506,8 +504,7 @@ def run_comparison(config: ExperimentConfig):
             "model_error_mean": np.mean([t.model_errors for t in runs], axis=0),
         }
         if policy != "adaptive-ksync":
-            by_rank = [t.pulls[np.argsort(1.0 / t.rates, kind="stable")] for t in runs]
-            employment_profiles[policy] = np.mean(by_rank, axis=0)
+            employment_profiles[policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
         if policy in bandits:
             identification[policy] = identify_fastest(runs)
             # regret of each run is measured against its own pool's optimum,

@@ -33,12 +33,14 @@ class WorkerPool:
     """Pool of workers with independent exponential response times.
 
     ``rates[i]`` is the rate of worker ``i`` (so ``means[i] = 1/rates[i]`` is
-    its expected response time). Workers are indexed from 0. ``means`` and
-    their ascending copy ``sorted_means`` are computed once, read-only.
+    its expected response time). Workers are indexed from 0. ``speed_order``
+    ranks them fastest first (lower index on ties) and ``sorted_means`` is
+    ``means[speed_order]``; all four arrays are computed once, read-only.
     """
 
     rates: np.ndarray
     means: np.ndarray = field(init=False, repr=False, compare=False)
+    speed_order: np.ndarray = field(init=False, repr=False, compare=False)
     sorted_means: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -48,8 +50,8 @@ class WorkerPool:
         if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
             raise ValueError("every worker rate must be finite and > 0")
         means = 1.0 / rates
-        sorted_means = np.sort(means)
-        for name, arr in (("rates", rates), ("means", means), ("sorted_means", sorted_means)):
+        order = np.argsort(means, kind="stable")
+        for name, arr in (("rates", rates), ("means", means), ("speed_order", order), ("sorted_means", means[order])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -112,11 +112,10 @@ def select_superarm_cmab(state: BanditState, variant: RadiusVariant, r: int, j: 
 
 
 def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
-    """The r workers with the smallest mean response times (index tie-break)."""
+    """The r workers with the smallest mean response times (index tie-break): ``pool.speed_order[:r]``."""
     if not 1 <= r <= pool.n:
         raise ValueError(f"superarm size {r} outside [1, {pool.n}]")
-    order = np.argsort(pool.means, kind="stable")
-    return np.sort(order[:r])
+    return np.sort(pool.speed_order[:r])
 
 
 def record_outcome(
@@ -219,22 +218,18 @@ def compute_schedule(bound_params, b: int, theta: float = 0.1, j_cap: int = 1_00
         raise ValueError("theta must be > 0")
     if j_cap < b:
         raise ValueError(f"j_cap={j_cap} cannot fit {b} rounds of at least one iteration")
-    decay = 1.0 - bound_params.eta * bound_params.convexity
-    if decay <= 0:
+    if bound_params.decay <= 0:
         raise ValueError("eta * convexity must be < 1 to compute a schedule")
 
     durations = []
     for r in range(1, b + 1):
-        floor = (
-            bound_params.eta * bound_params.lipschitz * bound_params.sigma2
-            / (2.0 * bound_params.convexity * r * bound_params.s)
-        )
+        floor = bound_params.error_floor(r)
         target = (1.0 + theta) * floor
         slack = bound_params.initial_gap - floor
         if slack <= theta * floor:
             d = 1
         else:
-            d = max(1, math.ceil(math.log(theta * floor / slack) / math.log(decay)))
+            d = max(1, math.ceil(math.log(theta * floor / slack) / math.log(bound_params.decay)))
             # guard the ceil against float rounding on either side
             while d > 1 and convergence_bound(bound_params, r, d - 1) <= target:
                 d -= 1

@@ -69,6 +69,15 @@ class BoundParams:
         if self.s < 1:
             raise ValueError("batch size s must be >= 1")
 
+    @property
+    def decay(self) -> float:
+        """Per-iteration contraction 1 - eta*c of the transient term."""
+        return 1.0 - self.eta * self.convexity
+
+    def error_floor(self, k: int) -> float:
+        """The bound's floor eta * L * sigma^2 / (2 c k s) when waiting for k workers."""
+        return self.eta * self.lipschitz * self.sigma2 / (2.0 * self.convexity * k * self.s)
+
 
 def generate_problem(m: int, d: int, rng: np.random.Generator, *, b: int, eta: float) -> SgdProblem:
     """Sample a fresh least-squares instance.
@@ -163,18 +172,17 @@ def run_trajectory(problem: SgdProblem, rounds: np.ndarray, rng: np.random.Gener
 def convergence_bound(params: BoundParams, k: int, j: int) -> float:
     """Expected-deviation bound after ``j`` iterations waiting for ``k`` workers.
 
-    floor + (1 - eta*c)^j * (initial_gap - floor), with the error floor
-    eta * L * sigma^2 / (2 c k s). Requires eta * c < 1.
+    floor + (1 - eta*c)^j * (initial_gap - floor), with ``decay`` and
+    ``error_floor(k)`` read from ``params``. Requires eta * c < 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if j < 0:
         raise ValueError("j must be >= 0")
-    decay = 1.0 - params.eta * params.convexity
-    if decay <= 0:
+    if params.decay <= 0:
         raise ValueError("eta * convexity must be < 1 for the bound to hold")
-    floor = params.eta * params.lipschitz * params.sigma2 / (2.0 * params.convexity * k * params.s)
-    return floor + decay**j * (params.initial_gap - floor)
+    floor = params.error_floor(k)
+    return floor + params.decay**j * (params.initial_gap - floor)
 
 
 def estimate_bound_params(problem: SgdProblem) -> BoundParams:

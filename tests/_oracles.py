@@ -230,7 +230,7 @@ def reference_run_single(config, policy, seed):
         policy=policy,
         seed=int(seed),
         schedule=schedule,
-        rates=pool.rates,
+        pool=pool,
         rounds=rounds,
         response_times=times,
         employments=employ,

@@ -260,7 +260,7 @@ def test_c09_bookkeeping_identities(va_plain, va_scaled, small_pool_runs):
 
         # recount: a chosen set is suboptimal iff its sorted member means are
         # not the r smallest means (strict monotonicity of the expected max)
-        means = 1.0 / trace.rates
+        means = trace.pool.means
         sorted_means = np.sort(means)
         recount = 0
         for j in range(1, len(trace) + 1):

@@ -141,7 +141,7 @@ def test_gap_report_matches_monte_carlo_estimate():
 def test_regret_definition_unrolled():
     cfg = bandit_only_config(n=1, b=1, schedule="1", policies=("optimal", "cmab-plain"), distinct_means=False)
     trace = run_single(cfg, "optimal", 0)
-    pool = WorkerPool(trace.rates)
+    pool = WorkerPool(trace.pool.rates)
     curve = empirical_regret(trace, pool, trace.schedule)
     assert curve.shape == (1,)
     assert curve[0] == pytest.approx(trace.response_times[0] - pool.means[0])
@@ -150,7 +150,7 @@ def test_regret_definition_unrolled():
 def test_regret_of_omniscient_policy_centers_on_zero():
     cfg = bandit_only_config(seeds=tuple(range(40)))
     traces = [run_single(cfg, "optimal", s) for s in cfg.seeds]
-    pool = WorkerPool(traces[0].rates)
+    pool = WorkerPool(traces[0].pool.rates)
     curves = np.stack([empirical_regret(t, pool, t.schedule) for t in traces])
     final = curves[:, -1]
     se = final.std(ddof=1) / math.sqrt(final.size)
@@ -163,8 +163,8 @@ def test_regret_trace_mismatch_faults():
     trace = run_single(cfg, "cmab-plain", 0)
     other_schedule = RoundSchedule((21, 40, 60))
     with pytest.raises(ValueError):
-        empirical_regret(trace, WorkerPool(trace.rates), other_schedule)
-    other_pool = WorkerPool(np.roll(trace.rates, 1))
+        empirical_regret(trace, WorkerPool(trace.pool.rates), other_schedule)
+    other_pool = WorkerPool(np.roll(trace.pool.rates, 1))
     with pytest.raises(ValueError):
         empirical_regret(trace, other_pool, trace.schedule)
 

@@ -159,6 +159,34 @@ def test_compare_bound_columns_match_bounds_command(tmp_path, monkeypatch):
             assert all(float(table[row["iter"]][c]) == row[c] for c in columns)
 
 
+def test_worker_means_compare_is_pinned(tmp_path, monkeypatch):
+    text = (
+        "n = 4\nb = 2\nworker_means = 0.2,0.4,0.6,0.8\nseeds = 0,1,2\nsimulate_sgd = false\n"
+        "schedule = 10,30\npolicies = cmab-plain, optimal\n"
+    )
+    path = _mini_cfg(tmp_path, text)
+    calls = []
+    original = analysis.round_reference_means
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "round_reference_means", counting)
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", path, "--out", str(out)]) == 0
+    assert calls == []  # one gap report gives every seed's reference means
+    js = ",".join(map(str, range(1, 31)))
+    assert main(["bounds", "--config", path, "--j", js, "--out", str(tmp_path / "bounds.json")]) == 0
+    rows = json.loads((tmp_path / "bounds.json").read_text())["regret_bounds"]
+    with open(out / "regret_cmab-plain.csv", newline="") as fh:
+        table = list(csv.DictReader(fh))
+    assert len(rows) == len(table) == 30
+    for row, line in zip(rows, table):
+        for column in ("bound_log_iter", "bound_log_truncated", "bound_tighter"):
+            assert float(line[column]) == row[column]
+
+
 def test_config_parse_error_names_the_key(tmp_path, capsys):
     path = _mini_cfg(tmp_path, "n = 1e3\n")
     assert main(["run", "--config", path, "--policy", "optimal", "--seed", "0", "--out", str(tmp_path / "t.csv")]) == 2

@@ -25,7 +25,7 @@ from banditsgd.harness import (
     stream_rng,
     write_trace_csv,
 )
-from banditsgd.policies import RoundSchedule
+from banditsgd.policies import RoundSchedule, compute_schedule
 from banditsgd.sgd import sample_batches
 
 from _oracles import apply_update, model_error, partial_gradient, reference_run_single
@@ -250,8 +250,10 @@ def test_build_pool_distinct_means():
     assert np.unique(np.round(means, 9)).size == cfg.n
     assert means.min() >= cfg.mean_min - 1e-12 and means.max() <= cfg.mean_max + 1e-12
     assert pool.theorem_valid
+    assert not cfg.pool_is_pinned
     # pinned pool ignores the run seed
     cfg2 = small_config(pool_seed=11)
+    assert cfg2.pool_is_pinned
     np.testing.assert_array_equal(build_pool(cfg2, 0).rates, build_pool(cfg2, 5).rates)
 
 
@@ -259,7 +261,7 @@ def test_pool_and_data_reuse_across_policies():
     cfg = small_config()
     t1 = run_single(cfg, "cmab-plain", 1)
     t2 = run_single(cfg, "adaptive-ksync", 1)
-    np.testing.assert_array_equal(t1.rates, t2.rates)
+    np.testing.assert_array_equal(t1.pool.rates, t2.pool.rates)
     # same batch stream, same data: identical error trajectories
     np.testing.assert_array_equal(t1.model_errors, t2.model_errors)
 
@@ -306,10 +308,11 @@ TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
-    assert len(TRACE_ARRAYS) == 11
+    assert len(TRACE_ARRAYS) == 10
     cfg = ExperimentConfig(**shape, distinct_means=True, simulate_sgd=False, variant="scaled")
     for seed in (0, 5):
         trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
+        assert trace.pool.rates.tobytes() == reference.pool.rates.tobytes()
         for name in TRACE_ARRAYS:
             got, want = getattr(trace, name), getattr(reference, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
@@ -352,7 +355,8 @@ def test_bandit_only_mode():
 def test_computed_schedule_end_to_end():
     cfg = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-6, j_cap=500)
     trace = run_single(cfg, "optimal", 0)
-    assert SeedSetup.build(cfg, 0).params is not None
+    expected = compute_schedule(sgd.estimate_bound_params(build_problem(cfg, 0)), cfg.b, cfg.theta, cfg.j_cap)
+    assert trace.schedule == expected
     assert trace.schedule.b == 3
     assert trace.schedule.horizon <= 500
 

@@ -41,6 +41,12 @@ def test_pool_validation():
     assert pool.theorem_valid
     assert not WorkerPool([0.5, 2.0]).theorem_valid
     np.testing.assert_allclose(pool.means, [0.5, 1.0])
+    tied = WorkerPool([1.0, 4.0, 2.0, 4.0, 1.0])  # means 1, 0.25, 0.5, 0.25, 1
+    np.testing.assert_array_equal(tied.speed_order, [1, 3, 2, 0, 4])  # ties: lower index first
+    np.testing.assert_array_equal(tied.sorted_means, tied.means[tied.speed_order])
+    for name in ("rates", "means", "speed_order", "sorted_means"):
+        with pytest.raises(ValueError):
+            getattr(tied, name)[0] = 1.0
 
 
 # Single-worker draws go through member_responses with a one-member superarm,

@@ -38,7 +38,6 @@ from .policies import (
     RadiusVariant,
     RoundSchedule,
     compute_schedule,
-    lcb_values,
     record_outcome,
     select_superarm_cmab,
     select_superarm_optimal,

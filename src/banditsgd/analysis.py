@@ -113,12 +113,6 @@ class RunTrace:
     def suboptimal_count(self) -> int:
         return int(self.suboptimal_pulls.sum())
 
-    def superarm_at(self, j: int) -> np.ndarray:
-        return self.members[self.member_offsets[j - 1] : self.member_offsets[j]]
-
-    def responses_at(self, j: int) -> np.ndarray:
-        return self.member_responses[self.member_offsets[j - 1] : self.member_offsets[j]]
-
     def final_round_counts(self) -> np.ndarray:
         """Per-worker employment counts within the last round of the schedule."""
         start = 0 if self.schedule.b == 1 else self.schedule.switching_points[-2]

@@ -340,9 +340,10 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     from the batch stream whatever the policy. The stream is drawn a round at
     a time, which consumes it the same way. The omniscient and k-sync
     policies, whose choices need no feedback, book the round as one block,
-    k-sync as the superarm of all n workers; the bandit draws standard
-    exponentials and scales each iteration's row by the chosen members' means
-    as it picks them.
+    k-sync as the superarm of all n workers. The bandit draws the round's
+    standard exponentials and hands them to one ``select_superarm_cmab`` call,
+    which steps the round an iteration at a time, scaling each row by the
+    chosen members' means as it picks them.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -369,10 +370,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         if variant is not None:
             # scaling a standard exponential by the mean is exactly how member_responses draws it
             latency_rng.standard_exponential(out=resp)
-            for i, j in enumerate(range(start + 1, stop + 1)):
-                arms[i] = arm = select_superarm_cmab(state, variant, r, j)
-                resp[i] *= pool.means[arm]
-                record_outcome(state, arm, resp[i], pool, r, j)
+            arms[:] = select_superarm_cmab(state, variant, pool, resp, start + 1)
         elif is_ksync:
             draws = response_vector(pool, latency_rng, count)
             arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)

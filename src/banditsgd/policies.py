@@ -66,49 +66,110 @@ class RadiusVariant:
         if self.tag not in ("plain", "scaled"):
             raise ValueError(f"unknown radius variant {self.tag!r}")
 
-    def exploration_scale(self, state: BanditState, j: float) -> float:
-        if j < 1:
-            raise ValueError("iteration must be >= 1")
-        f = 2.0 * math.log(j)
-        if self.tag == "scaled":
-            pulled = state.pulls > 0
-            if not pulled.any():
-                return 0.0
-            f *= float((state.response_sums[pulled] / state.pulls[pulled]).min())
-        return f
-
 
 PLAIN = RadiusVariant("plain")
 SCALED = RadiusVariant("scaled")
 
 
-def lcb_values(state: BanditState, variant: RadiusVariant, j: float) -> np.ndarray:
-    """LCBs of all workers for the selection at iteration j.
+def _suboptimality_bar(pool: WorkerPool, r: int) -> np.ndarray:
+    """The pool's r smallest means plus the tolerance: a superarm of r members
+    is suboptimal when some sorted member mean exceeds its entry."""
+    return pool.sorted_means[:r] + SUBOPTIMALITY_TOL
 
-    Pulled workers score empirical mean minus the radius evaluated at
-    iteration j-1 on the current counters; unpulled workers score -infinity.
+
+def _charge_if_suboptimal(suboptimal_pulls, pulls, arm, member_means, bar, iterations: int) -> None:
+    """Charge ``iterations`` suboptimal pulls to the least-pulled member of ``arm`` when it is suboptimal.
+
+    ``member_means`` are the members' means (sorted here, in place) and
+    ``bar`` is ``_suboptimality_bar``. Comparing sorted means decides the
+    expected-max comparison: the expected max strictly increases when any
+    member's mean strictly increases, and the optimal set holds the r
+    smallest means, so a mean multiset mismatch forces a strictly larger
+    expected max. ``pulls`` are the counts as of before the update;
+    ``argmin`` takes the first, i.e. lowest-index, least-pulled member.
     """
-    if j < 1:
-        raise ValueError("iteration must be >= 1")
-    pulled = state.pulls > 0
-    if not pulled.any():
-        return np.full(state.n, -np.inf)
-    if j == 1:
+    member_means.sort()
+    if np.count_nonzero(member_means > bar):
+        suboptimal_pulls[arm[pulls[arm].argmin()]] += iterations
+
+
+def select_superarm_cmab(
+    state: BanditState, variant: RadiusVariant, pool: WorkerPool, draws: np.ndarray, j: int
+) -> np.ndarray:
+    """Play iterations ``j .. j+L-1`` of one bandit round; return their ``(L, r)`` superarms.
+
+    ``draws`` is the round's ``(L, r)`` float64 block of standard exponential
+    variates. For each iteration in turn this picks the ``r`` workers with the
+    lowest LCBs on the counters so far (ties to the lowest index; the members
+    of a row ascend), scales that row of ``draws`` in place by the members'
+    mean response times, so the row becomes the observed responses, and folds
+    the row into ``state`` as ``record_outcome`` would.
+
+    An arm's LCB at iteration ``j`` is its empirical mean minus the radius
+    ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``, times the smallest
+    pulled empirical mean for the scaled variant; unpulled arms score
+    -infinity. Counts are held as one float64 array within the call (exact
+    for integers) and written back to ``state.pulls`` at the end.
+    """
+    n = state.n
+    if not isinstance(draws, np.ndarray) or draws.ndim != 2 or draws.dtype != np.float64:
+        raise ValueError(f"draws must be a 2-D float64 array, got {type(draws).__name__} of shape {np.shape(draws)}")
+    iterations, r = draws.shape
+    if not 1 <= r <= n:
+        raise ValueError(f"superarm size {r} outside [1, {n}]")
+    if iterations < 1:
+        raise ValueError("draws must hold at least one iteration")
+    if pool.n != n:
+        raise ValueError(f"pool has {pool.n} workers, state has {n}")
+    if j != state.current_iteration + 1:
+        raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
+    if j == 1 and state.pulls.any():
         raise ValueError("no worker can have pulls before the first iteration")
-    f = variant.exploration_scale(state, j - 1)
-    t = np.maximum(state.pulls, 1).astype(np.float64)
-    out = state.response_sums / t - (np.sqrt(4.0 * f / t) + 2.0 * f / t)
-    out[~pulled] = -np.inf
-    return out
 
-
-def select_superarm_cmab(state: BanditState, variant: RadiusVariant, r: int, j: float) -> np.ndarray:
-    """The r workers with the lowest LCBs, ties broken by lowest index."""
-    if not 1 <= r <= state.n:
-        raise ValueError(f"superarm size {r} outside [1, {state.n}]")
-    values = lcb_values(state, variant, j)
-    order = np.argsort(values, kind="stable")
-    return np.sort(order[:r])
+    scaled = variant.tag == "scaled"
+    counts = state.pulls.astype(np.float64)
+    sums, subopt, bar = state.response_sums, state.suboptimal_pulls, _suboptimality_bar(pool, r)
+    radius, lcb = np.empty(n), np.empty(n)
+    arms = np.empty((iterations, r), dtype=np.int64)
+    # reductions are slow on small arrays: count_nonzero and argmin stand in for all() and min()
+    exploring = np.count_nonzero(counts) < n
+    for i in range(iterations):
+        if exploring:
+            unpulled = counts == 0
+            if np.count_nonzero(unpulled) == n:
+                lcb.fill(-np.inf)
+            else:
+                t = np.maximum(counts, 1.0)
+                f = 2.0 * math.log(j + i - 1)
+                if scaled:
+                    pulled_means = (sums / t)[~unpulled]
+                    f *= float(pulled_means[pulled_means.argmin()])
+                np.divide(sums, t, out=lcb)
+                lcb -= np.sqrt(4.0 * f / t) + 2.0 * f / t
+                lcb[unpulled] = -np.inf
+        else:
+            f = 2.0 * math.log(j + i - 1)
+            if scaled:
+                np.divide(sums, counts, out=lcb)
+                f *= float(lcb[lcb.argmin()])
+            np.divide(4.0 * f, counts, out=radius)
+            np.sqrt(radius, out=radius)
+            radius += np.divide(2.0 * f, counts, out=lcb)
+            np.divide(sums, counts, out=lcb)
+            lcb -= radius
+        arm = arms[i]
+        arm[:] = lcb.argsort(kind="stable")[:r]
+        arm.sort()
+        row, member_means = draws[i], pool.means[arm]
+        row *= member_means
+        _charge_if_suboptimal(subopt, counts, arm, member_means, bar, 1)
+        counts[arm] += 1.0
+        sums[arm] += row
+        if exploring:
+            exploring = np.count_nonzero(counts) < n
+    state.pulls[:] = counts
+    state.current_iteration = j + iterations - 1
+    return arms
 
 
 def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
@@ -136,11 +197,7 @@ def record_outcome(
 
     When the chosen superarm is suboptimal, the suboptimal-pull counter of its
     least-pulled member (lowest index on ties, pulls as of before this update)
-    is incremented, once per iteration. The test compares the sorted member
-    means against the pool's r smallest means, which decides the expected-max
-    comparison: the expected max strictly increases when any member's mean
-    strictly increases, and the optimal set holds the r smallest means, so a
-    mean multiset mismatch forces a strictly larger expected max.
+    is incremented, once per iteration (see ``_charge_if_suboptimal``).
     """
     arm = pool.validate_superarm(superarm)
     block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
@@ -152,11 +209,8 @@ def record_outcome(
         raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
 
     iterations = block.shape[0]
-    means = pool.means[arm]
-    means.sort()
-    if (means > pool.sorted_means[: arm.size] + SUBOPTIMALITY_TOL).any():
-        least = arm[state.pulls[arm].argmin()]  # argmin takes the first, i.e. lowest index
-        state.suboptimal_pulls[least] += iterations
+    bar = _suboptimality_bar(pool, r)
+    _charge_if_suboptimal(state.suboptimal_pulls, state.pulls, arm, pool.means[arm], bar, iterations)
     state.pulls[arm] += iterations
     if iterations == 1:
         state.response_sums[arm] += block[0]

@@ -2,8 +2,9 @@
 
 Everything here recomputes quantities by a different route than the package:
 subset sums via itertools instead of binary counting, gradients via central
-finite differences or per-batch row gathers, LCBs one worker at a time, gaps
-via explicit enumeration, runs one iteration and one draw call at a time.
+finite differences or per-batch row gathers, LCBs one worker at a time or
+as one vector per iteration, gaps via explicit enumeration, runs one
+iteration and one draw call at a time.
 Keep these free of any dependence on the implementation paths they check.
 """
 
@@ -140,6 +141,43 @@ def lcb(state, variant, worker, j) -> float:
     return float(mean - confidence_radius(state, variant, worker, j - 1))
 
 
+def lcb_values(state, variant, j) -> np.ndarray:
+    """LCBs of all workers for the selection at iteration j, as one vector.
+
+    Pulled workers score empirical mean minus the radius evaluated at
+    iteration j-1 on the current counters; unpulled workers score -infinity.
+    """
+    if j < 1:
+        raise ValueError("iteration must be >= 1")
+    pulled = state.pulls > 0
+    if not pulled.any():
+        return np.full(state.n, -np.inf)
+    if j == 1:
+        raise ValueError("no worker can have pulls before the first iteration")
+    f = exploration_scale(state, variant, j - 1)
+    t = np.maximum(state.pulls, 1).astype(np.float64)
+    out = state.response_sums / t - (np.sqrt(4.0 * f / t) + 2.0 * f / t)
+    out[~pulled] = -np.inf
+    return out
+
+
+def select_superarm(state, variant, r, j) -> np.ndarray:
+    """One iteration's bandit choice: the r workers with the lowest LCBs, ties to the lowest index."""
+    if not 1 <= r <= state.n:
+        raise ValueError(f"superarm size {r} outside [1, {state.n}]")
+    return np.sort(np.argsort(lcb_values(state, variant, j), kind="stable")[:r])
+
+
+def superarm_at(trace, j) -> np.ndarray:
+    """The members a trace employed at iteration j (1-based)."""
+    return trace.members[trace.member_offsets[j - 1] : trace.member_offsets[j]]
+
+
+def responses_at(trace, j) -> np.ndarray:
+    """The response times of ``superarm_at(trace, j)``, member by member."""
+    return trace.member_responses[trace.member_offsets[j - 1] : trace.member_offsets[j]]
+
+
 SUBOPTIMALITY_TOL = 1e-12
 
 
@@ -181,13 +219,15 @@ def reference_run_single(config, policy, seed):
     Every policy asks the latency stream for its iteration's draws when it
     reaches that iteration: a one-row ``member_responses`` block of the chosen
     superarm for the bandit and omniscient policies, a one-row
-    ``response_vector`` block for k-sync. The returned trace carries the same
-    arrays as the package's run.
+    ``response_vector`` block for k-sync. The bandit picks with
+    ``select_superarm`` on the ``lcb_values`` vector and books with the
+    package's ``record_outcome``. The returned trace carries the same arrays
+    as the package's run.
     """
     from banditsgd.analysis import RunTrace
     from banditsgd.harness import SeedSetup, policy_variant, stream_rng
     from banditsgd.latency import member_responses, response_vector
-    from banditsgd.policies import BanditState, record_outcome, select_superarm_cmab, select_superarm_optimal
+    from banditsgd.policies import BanditState, record_outcome, select_superarm_optimal
 
     setup = SeedSetup.build(config, seed)
     pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
@@ -214,7 +254,7 @@ def reference_run_single(config, policy, seed):
             resp = draws[arm]
             ksync_sums += draws
         else:
-            arm = optimal_sets[r - 1] if variant is None else select_superarm_cmab(state, variant, r, j)
+            arm = optimal_sets[r - 1] if variant is None else select_superarm(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng, 1)[0]
             record_outcome(state, arm, resp, pool, r, j)
         times[j - 1] = resp.max()

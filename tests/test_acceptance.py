@@ -33,7 +33,7 @@ from banditsgd.policies import PLAIN, BanditState, select_superarm_cmab, select_
 from banditsgd.sgd import BoundParams, batch_gradient, convergence_bound, generate_problem, sample_batches
 from banditsgd.verify import empirical_mean_tail_rates, mc_max_mean
 
-from _oracles import brute_expected_max, central_difference_gradient
+from _oracles import brute_expected_max, central_difference_gradient, superarm_at
 
 
 def report(num: int, name: str) -> None:
@@ -244,8 +244,10 @@ def test_c08_zero_radius_reduces_to_omniscient():
             suboptimal_pulls=np.zeros(n, dtype=np.int64),
         )
         for r in range(1, n + 1):
-            # at iteration 2 the radius uses f(1) = 0, so LCBs equal the means
-            chosen = select_superarm_cmab(state, PLAIN, r, 2)
+            # at iteration 2 the radius uses f(1) = 0, so LCBs equal the means;
+            # the round step plays one iteration on a copy of the state
+            step = BanditState(state.pulls.copy(), state.response_sums.copy(), state.suboptimal_pulls.copy(), 1)
+            chosen = select_superarm_cmab(step, PLAIN, pool, np.ones((1, r)), 2)[0]
             np.testing.assert_array_equal(chosen, select_superarm_optimal(pool, r))
     report(8, "zero-radius policy equals the omniscient selection on 100 pools")
 
@@ -264,7 +266,7 @@ def test_c09_bookkeeping_identities(va_plain, va_scaled, small_pool_runs):
         sorted_means = np.sort(means)
         recount = 0
         for j in range(1, len(trace) + 1):
-            arm = trace.superarm_at(j)
+            arm = superarm_at(trace, j)
             if np.any(np.sort(means[arm]) > sorted_means[: arm.size] + 1e-12):
                 recount += 1
         assert int(trace.suboptimal_pulls.sum()) == recount
@@ -278,7 +280,7 @@ def test_c09_bookkeeping_identities(va_plain, va_scaled, small_pool_runs):
     for trace in traces[:5]:
         recount = 0
         for j in range(1, len(trace) + 1):
-            arm = trace.superarm_at(j)
+            arm = superarm_at(trace, j)
             if brute_expected_max(pool.rates[arm]) > optimal_value[arm.size] + 1e-12:
                 recount += 1
         assert int(trace.suboptimal_pulls.sum()) == recount

@@ -28,7 +28,7 @@ from banditsgd.harness import (
 from banditsgd.policies import RoundSchedule, compute_schedule
 from banditsgd.sgd import sample_batches
 
-from _oracles import apply_update, model_error, partial_gradient, reference_run_single
+from _oracles import apply_update, model_error, partial_gradient, reference_run_single, responses_at, superarm_at
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -285,12 +285,12 @@ def test_trace_structure_and_bookkeeping():
             np.testing.assert_array_equal(trace.employments, trace.rounds)
             assert trace.pulls.sum() == sched.budget
         for j in (1, sched.horizon // 2, sched.horizon):
-            arm = trace.superarm_at(j)
+            arm = superarm_at(trace, j)
             assert arm.size == trace.rounds[j - 1]  # k-sync stores the k used workers
             assert np.all(np.diff(arm) > 0)
-            assert trace.responses_at(j).size == arm.size
+            assert responses_at(trace, j).size == arm.size
             if policy != "adaptive-ksync":
-                assert trace.response_times[j - 1] == pytest.approx(trace.responses_at(j).max())
+                assert trace.response_times[j - 1] == pytest.approx(responses_at(trace, j).max())
 
 
 TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray")
@@ -303,13 +303,17 @@ TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "
         dict(n=50, b=20, schedule=",".join(str(6 * r) for r in range(1, 20)) + ",150", mean_step=0.01),
         dict(n=6, b=3, schedule="1,2,5", mean_step=0.05),
         dict(n=5, b=5, schedule="4,9,15,22,40", mean_step=0.05),
+        # tied sorted means: the tolerance side of the suboptimality test
+        dict(n=12, b=4, schedule="20,50,90,140", mean_step=0.1, distinct_means=False),
+        dict(n=9, b=9, schedule="1,2,3,4,5,6,7,8,9", mean_step=0.1, distinct_means=False),
+        dict(n=1, b=1, schedule="40", mean_step=0.1),
     ],
-    ids=["n10-b5", "n50-b20", "one-iteration-round", "b-equals-n"],
+    ids=["n10-b5", "n50-b20", "one-iteration-round", "b-equals-n", "repeated-means", "coarse-b-equals-n", "n1"],
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
     assert len(TRACE_ARRAYS) == 10
-    cfg = ExperimentConfig(**shape, distinct_means=True, simulate_sgd=False, variant="scaled")
+    cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False, variant="scaled")
     for seed in (0, 5):
         trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
         assert trace.pool.rates.tobytes() == reference.pool.rates.tobytes()
@@ -328,7 +332,7 @@ def test_ksync_time_is_kth_smallest_of_full_vector():
         draws = lat.exponential(pool.means)
         r = trace.rounds[j - 1]
         assert trace.response_times[j - 1] == pytest.approx(np.partition(draws, r - 1)[r - 1])
-        np.testing.assert_array_equal(trace.superarm_at(j), np.sort(np.argsort(draws, kind="stable")[:r]))
+        np.testing.assert_array_equal(superarm_at(trace, j), np.sort(np.argsort(draws, kind="stable")[:r]))
 
 
 def test_cmab_member_responses_accumulate_into_sums():
@@ -337,8 +341,8 @@ def test_cmab_member_responses_accumulate_into_sums():
     sums = np.zeros(cfg.n)
     counts = np.zeros(cfg.n, dtype=int)
     for j in range(1, len(trace) + 1):
-        arm = trace.superarm_at(j)
-        sums[arm] += trace.responses_at(j)
+        arm = superarm_at(trace, j)
+        sums[arm] += responses_at(trace, j)
         counts[arm] += 1
     np.testing.assert_allclose(sums, trace.response_sums)
     np.testing.assert_array_equal(counts, trace.pulls)
@@ -382,7 +386,7 @@ def test_trace_csv_schema_and_determinism(tmp_path):
     assert first["superarm"] == "0"  # round 1, all arms unpulled, lowest index
     assert int(rows[-1]["cum_employments"]) == trace.schedule.budget
     got = [int(tok) for tok in rows[20]["superarm"].split("|")]
-    np.testing.assert_array_equal(got, trace.superarm_at(21))
+    np.testing.assert_array_equal(got, superarm_at(trace, 21))
     assert float(rows[-1]["model_error"]) == pytest.approx(trace.model_errors[-1])
 
 

@@ -15,14 +15,13 @@ from banditsgd.policies import (
     BanditState,
     RoundSchedule,
     compute_schedule,
-    lcb_values,
     record_outcome,
     select_superarm_cmab,
     select_superarm_optimal,
 )
 from banditsgd.sgd import BoundParams
 
-from _oracles import confidence_radius, lcb, superarm_is_suboptimal
+from _oracles import confidence_radius, exploration_scale, lcb, lcb_values, select_superarm, superarm_is_suboptimal
 
 
 def state_with(pulls, sums, iteration=0):
@@ -38,6 +37,13 @@ def state_with(pulls, sums, iteration=0):
 def seeded_state(pool):
     """One-pull-per-arm state whose empirical means equal the true means."""
     return state_with(np.ones(pool.n), pool.means)
+
+
+def select_one(state, variant, r, j, pool=None):
+    """The round step's choice at iteration j: an L=1 block on a copy of ``state`` advanced to j-1."""
+    copy = state_with(state.pulls.copy(), state.response_sums.copy(), iteration=j - 1)
+    pool = WorkerPool(np.ones(state.n)) if pool is None else pool
+    return select_superarm_cmab(copy, variant, pool, np.ones((1, r)), j)[0]
 
 
 # ---------------------------------------------------------------- radius / lcb
@@ -67,9 +73,9 @@ def test_radius_unpulled_faults():
 
 def test_scaled_variant_scale():
     st8 = state_with([2, 0, 4], [1.0, 0.0, 0.8])  # means 0.5, -, 0.2
-    assert SCALED.exploration_scale(st8, math.e) == pytest.approx(2.0 * 0.2)
-    assert SCALED.exploration_scale(state_with([0, 0], [0.0, 0.0]), 5) == 0.0
-    assert PLAIN.exploration_scale(st8, math.e) == pytest.approx(2.0)
+    assert exploration_scale(st8, SCALED, math.e) == pytest.approx(2.0 * 0.2)
+    assert exploration_scale(state_with([0, 0], [0.0, 0.0]), SCALED, 5) == 0.0
+    assert exploration_scale(st8, PLAIN, math.e) == pytest.approx(2.0)
 
 
 def test_lcb_unpulled_is_minus_infinity():
@@ -93,6 +99,8 @@ def test_lcb_before_first_iteration_with_pulls_faults():
         lcb(state_with([2], [1.0]), PLAIN, 0, 1)
     with pytest.raises(ValueError):
         lcb_values(state_with([2], [1.0]), PLAIN, 1)
+    with pytest.raises(ValueError):
+        select_one(state_with([2], [1.0]), PLAIN, 1, 1)
 
 
 @given(
@@ -121,23 +129,23 @@ def test_lcb_scalar_matches_vectorized_and_below_mean(pulls, j, scaled):
 
 def test_select_all_unpulled_takes_lowest_indices():
     st8 = BanditState.zeros(6)
-    np.testing.assert_array_equal(select_superarm_cmab(st8, PLAIN, 3, 1), [0, 1, 2])
+    np.testing.assert_array_equal(select_one(st8, PLAIN, 3, 1), [0, 1, 2])
 
 
 def test_select_unpulled_worker_always_included():
     st8 = state_with([3, 0, 2], [0.3, 0.0, 0.1])
-    assert 1 in select_superarm_cmab(st8, PLAIN, 1, 7)
+    assert 1 in select_one(st8, PLAIN, 1, 7)
 
 
 def test_select_returns_r_distinct_members():
     st8 = state_with([5, 1, 2, 9], [2.0, 0.1, 0.4, 3.0])
-    arm = select_superarm_cmab(st8, PLAIN, 3, 4)
+    arm = select_one(st8, PLAIN, 3, 4)
     assert arm.size == 3 and np.unique(arm).size == 3
 
 
 def test_select_size_fault():
     with pytest.raises(ValueError):
-        select_superarm_cmab(BanditState.zeros(3), PLAIN, 4, 1)
+        select_one(BanditState.zeros(3), PLAIN, 4, 1)
     with pytest.raises(ValueError):
         select_superarm_optimal(WorkerPool([1.0, 2.0]), 3)
 
@@ -168,9 +176,63 @@ def test_seeded_truth_with_zero_radius_reduces_to_optimal():
         st8 = seeded_state(pool)
         for r in range(1, n + 1):
             np.testing.assert_array_equal(
-                select_superarm_cmab(st8, PLAIN, r, 2),  # f(1) = 0, radii vanish
+                select_one(st8, PLAIN, r, 2),  # f(1) = 0, radii vanish
                 select_superarm_optimal(pool, r),
             )
+
+
+def random_state(rng, n, pulled_share):
+    pulls = np.where(rng.random(n) < pulled_share, rng.integers(1, 40, n), 0)
+    return state_with(pulls, rng.uniform(0.1, 1.0, n) * pulls, iteration=int(pulls.sum()) + 1)
+
+
+@given(st.integers(0, 2**31 - 1), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_round_step_matches_per_iteration_oracle(seed, scaled):
+    # repeated means exercise the tolerance side of the suboptimality test
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    pool = WorkerPool(1.0 / rng.choice([0.2, 0.4, 0.6, 0.8], size=n))
+    variant = SCALED if scaled else PLAIN
+    start = random_state(rng, n, pulled_share=float(rng.choice([0.0, 0.5, 1.0])))
+    r = int(rng.integers(1, n + 1))
+    draws = rng.standard_exponential((int(rng.integers(1, 30)), r))
+    oracle = state_with(start.pulls.copy(), start.response_sums.copy(), iteration=start.current_iteration)
+    j0 = start.current_iteration + 1
+    responses = draws.copy()
+    arms = select_superarm_cmab(start, variant, pool, responses, j0)
+    for i, j in enumerate(range(j0, j0 + draws.shape[0])):
+        arm = select_superarm(oracle, variant, r, j)
+        np.testing.assert_array_equal(arms[i], arm)
+        row = draws[i] * pool.means[arm]
+        assert responses[i].tobytes() == row.tobytes()
+        record_outcome(oracle, arm, row, pool, r, j)
+    assert start.pulls.dtype == oracle.pulls.dtype
+    for name in ("pulls", "response_sums", "suboptimal_pulls"):
+        assert getattr(start, name).tobytes() == getattr(oracle, name).tobytes(), name
+    assert start.current_iteration == oracle.current_iteration
+
+
+def test_round_step_faults_leave_state_untouched():
+    pool = WorkerPool([1.0, 2.0, 4.0])
+    st8 = state_with([2, 1, 3], [0.9, 0.4, 1.2], iteration=6)
+    before = (st8.pulls.copy(), st8.response_sums.copy(), st8.suboptimal_pulls.copy())
+    cases = [
+        (np.ones((2, 4)), 7),  # r = 4 > n
+        (np.ones((2, 0)), 7),  # r = 0
+        (np.ones(3), 7),  # 1-D
+        (np.ones((2, 2, 1)), 7),  # 3-D
+        (np.ones((2, 2)), 6),  # repeats iteration 6
+        (np.ones((2, 2)), 9),  # skips iteration 7
+    ]
+    for draws, j in cases:
+        kept = draws.copy()
+        with pytest.raises(ValueError):
+            select_superarm_cmab(st8, PLAIN, pool, draws, j)
+        assert draws.tobytes() == kept.tobytes()
+        for got, want in zip((st8.pulls, st8.response_sums, st8.suboptimal_pulls), before):
+            assert got.tobytes() == want.tobytes()
+        assert st8.current_iteration == 6
 
 
 # ---------------------------------------------------------------- outcomes

@@ -408,7 +408,7 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
         np.arange(1, horizon + 1),
         trace.rounds,
         [trace.policy] * horizon,
-        [trace.seed] * horizon,
+        [str(trace.seed)] * horizon,
         ["|".join(map(str, members[lo:hi])) for lo, hi in zip(offsets, offsets[1:])],
         trace.response_times,
         trace.cum_times,
@@ -548,16 +548,17 @@ def _summarize(config, traces, identification) -> dict:
     return summary
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+def _column_text(column) -> list:
+    """One column's cells: a float array as each value's repr, an integer array as digits, strings as given."""
+    if isinstance(column, np.ndarray):
+        return list(map(repr if column.dtype.kind == "f" else str, column.tolist()))
+    return column
 
 
 def _write_table(path: str, columns: dict) -> None:
     """CSV with a header row; strings as given, integers as digits, floats as their repr."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in zip(*cols)]
+    cols = [_column_text(c) for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cols)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

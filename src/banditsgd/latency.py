@@ -12,8 +12,12 @@ exponential draw). Order statistics of a draw, such as the k-th fastest
 response that k-sync waits for, are row reductions of a block.
 
 The moment formulas enumerate the non-empty subsets of the rate list
-(inclusion-exclusion over the joint survival function), which is exact but
-exponential in the list length, hence the hard cap.
+(inclusion-exclusion over the joint survival function). The enumeration is
+exact and its time is exponential in the list length, hence the hard cap.
+Its memory is not: subset terms are built and summed in blocks of 2^14,
+combined along numpy's own pairwise-summation tree, so the totals are
+bit-identical to summing the full 2^k arrays while a call holds a few
+blocks, about 1 MiB, at any list length.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ import numpy as np
 # 2^25 terms is the largest enumeration we allow before failing loudly;
 # beyond that the caller should rethink, not silently approximate.
 SUBSET_ENUMERATION_CAP = 25
-_CHUNK_BITS = 20
+# Masks over the first _LOW_BITS rates form one summed array per mask of the
+# rest; each array is built and summed in leaves of _BLOCK masks.
+_LOW_BITS = 20
+_BLOCK_BITS = 14
+_BLOCK = 1 << _BLOCK_BITS
 
 
 @dataclass(frozen=True)
@@ -120,38 +128,92 @@ def _validated_rates(rates) -> np.ndarray:
     return arr
 
 
+def _subset_table(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum and parity (-1)^popcount of every subset mask of ``rates``, by doubling.
+
+    Mask ``m`` sums its set bits' rates left to right in ascending bit order,
+    starting from 0.0.
+    """
+    sums = np.zeros(1 << rates.size)
+    parity = np.ones(1 << rates.size)
+    for i, rate in enumerate(rates.tolist()):
+        step = 1 << i
+        np.add(sums[:step], rate, out=sums[step : 2 * step])
+        np.negative(parity[:step], out=parity[step : 2 * step])
+    return sums, parity
+
+
+def _reciprocal_totals(sums: np.ndarray, parity: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
+    """``np.add.reduce`` of parity / sums and of parity / sums**2, in ``scratch``."""
+    first = float(np.add.reduce(np.divide(parity, sums, out=scratch)))
+    np.multiply(sums, sums, out=scratch)
+    return first, float(np.add.reduce(np.divide(parity, scratch, out=scratch)))
+
+
 def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     """Sums over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^p.
 
     Returns the p=1 and the p=2 sum, both from one enumeration of the subset
-    sums. Enumerates subsets by binary counting over the low ``_CHUNK_BITS``
-    indices and loops over the high indices, bounding memory at a few arrays
-    of 2^_CHUNK_BITS floats.
+    sums, and bit-identical to summing the full 2^k arrays with ``ndarray.sum``.
+    Masks over the low ``_LOW_BITS`` rates form one array per high mask (the
+    high mask's rate sum added to every low sum). Each array is summed along
+    numpy's pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves
+    of at most ``_BLOCK`` masks, and only the leaves are built: the sums of the
+    low ``_BLOCK_BITS`` bits come from one table, the higher low bits are added
+    one at a time in ascending bit order. Memory is a few arrays of
+    ``_BLOCK`` floats, whatever the list length.
     """
-    n_low = min(rates.size, _CHUNK_BITS)
-    size_low = 1 << n_low
-    low_sums = np.zeros(size_low)
-    low_parity = np.ones(size_low)  # (-1)^popcount(mask)
-    for i in range(n_low):
-        step = 1 << i
-        low_sums[step : 2 * step] = low_sums[:step] + rates[i]
-        low_parity[step : 2 * step] = -low_parity[:step]
+    n_low = min(rates.size, _LOW_BITS)
+    table_sums, table_parity = _subset_table(rates[:_BLOCK_BITS])
+    if rates.size <= _BLOCK_BITS:  # every non-empty subset fits one leaf
+        first, second = _reciprocal_totals(table_sums[1:], table_parity[1:], np.empty(table_sums.size - 1))
+        return -first, -second
+    upper = rates[_BLOCK_BITS:n_low].tolist()
+    sums, parity, scratch = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
+
+    def leaf(start: int, count: int, shift: float) -> tuple[float, float]:
+        # low masks start .. start+count-1, which span at most two table blocks
+        pos = start
+        while pos < start + count:
+            block, lo = divmod(pos, _BLOCK)
+            hi = min(_BLOCK, start + count - block * _BLOCK)
+            piece = slice(pos - start, pos - start + hi - lo)
+            piece_sums = sums[piece]
+            np.copyto(piece_sums, table_sums[lo:hi])
+            sign = 1.0
+            for i, rate in enumerate(upper):
+                if block >> i & 1:
+                    piece_sums += rate
+                    sign = -sign
+            np.multiply(table_parity[lo:hi], sign, out=parity[piece])
+            pos = hi + block * _BLOCK
+        leaf_sums = sums[:count]
+        if shift:
+            leaf_sums += shift
+        return _reciprocal_totals(leaf_sums, parity[:count], scratch[:count])
+
+    def tree(start: int, count: int, shift: float) -> tuple[float, float]:
+        if count <= _BLOCK:
+            return leaf(start, count, shift)
+        half = count // 2
+        half -= half % 8
+        left, right = tree(start, half, shift), tree(start + half, count - half, shift)
+        return left[0] + right[0], left[1] + right[1]
 
     high_rates = rates[n_low:]
     total1 = total2 = 0.0
     for hmask in range(1 << high_rates.size):
         if hmask == 0:
             # skip the empty set once; the high part adds nothing to the sums
-            sums, parity, hparity = low_sums[1:], low_parity[1:], 1.0
+            first, second = tree(1, (1 << n_low) - 1, 0.0)
+            hparity = 1.0
         else:
             bits = [i for i in range(high_rates.size) if hmask >> i & 1]
-            sums = low_sums + float(high_rates[bits].sum())
-            parity = low_parity
+            first, second = tree(0, 1 << n_low, float(high_rates[bits].sum()))
             hparity = -1.0 if len(bits) % 2 else 1.0
         # (-1)^(|S|-1) = -(-1)^(|S|)
-        total1 -= hparity * float((parity / sums).sum())
-        terms = sums**2
-        total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
+        total1 -= hparity * first
+        total2 -= hparity * second
     return total1, total2
 
 
@@ -160,6 +222,9 @@ def max_moments(rates) -> tuple[float, float]:
 
     E[max] = sum over non-empty subsets S of (-1)^(|S|-1) / sum_{i in S} rates_i
     and E[max^2] = the same sum with 2 / (sum rates)^2, from one enumeration.
+    The enumeration is exact and bit-identical to summing the whole 2^k term
+    arrays with ``ndarray.sum``; its memory is bounded by the block size
+    (2^14 subsets), not by 2^k.
     """
     mean, second = _inclusion_exclusion_sum(_validated_rates(rates))
     return mean, max(2.0 * second - mean * mean, 0.0)

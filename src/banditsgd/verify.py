@@ -18,6 +18,9 @@ from .analysis import subgamma_tail, subgaussian_tail
 from .latency import WorkerPool, expected_max, response_vector, variance_of_max
 
 
+_TAIL_BLOCK_ROWS = 4096
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -100,8 +103,15 @@ def empirical_mean_tail_rates(
     The centered mean sits in the sub-gamma class (variance 1/(t lam^2), scale
     1/(t lam)) on the right and the sub-Gaussian class (same variance) on the
     left, so each observed frequency should respect the matching bound.
+    The ``(trials, t)`` variates are drawn in blocks of at most
+    ``_TAIL_BLOCK_ROWS`` rows; rows fill the stream in order, so the row
+    means and the generator state after equal those of one block.
     """
-    draws = rng.standard_exponential((trials, t)).mean(axis=1) / lam
+    row_means = np.empty(trials)
+    for lo in range(0, trials, _TAIL_BLOCK_ROWS):
+        rows = min(_TAIL_BLOCK_ROWS, trials - lo)
+        row_means[lo : lo + rows] = rng.standard_exponential((rows, t)).mean(axis=1)
+    draws = row_means / lam
     centered = draws - 1.0 / lam
     sigma2 = 1.0 / (t * lam * lam)
     scale = 1.0 / (t * lam)

@@ -4,7 +4,9 @@ Everything here recomputes quantities by a different route than the package:
 subset sums via itertools instead of binary counting, gradients via central
 finite differences or per-batch row gathers, LCBs one worker at a time or
 as one vector per iteration, gaps via explicit enumeration, runs one
-iteration and one draw call at a time.
+iteration and one draw call at a time, moments from whole 2^k arrays, numpy's
+summation rule in Python floats, tail draws as one block, tables one cell at
+a time.
 Keep these free of any dependence on the implementation paths they check.
 """
 
@@ -43,6 +45,73 @@ def brute_second_moment_max(rates) -> float:
 def brute_variance_of_max(rates) -> float:
     mean = brute_expected_max(rates)
     return brute_second_moment_max(rates) - mean * mean
+
+
+def full_array_max_moments(rates) -> tuple[float, float]:
+    """``latency.max_moments`` from whole 2^k arrays: the bit-identity oracle.
+
+    Subset sums by doubling over the first 20 rates, one array per mask of
+    the rest (its rate sum added to every low sum), each summed at once with
+    ``ndarray.sum``; up to four 2^20 arrays live at a time.
+    """
+    rates = np.atleast_1d(np.asarray(rates, dtype=np.float64))
+    n_low = min(rates.size, 20)
+    size_low = 1 << n_low
+    low_sums = np.zeros(size_low)
+    low_parity = np.ones(size_low)  # (-1)^popcount(mask)
+    for i in range(n_low):
+        step = 1 << i
+        low_sums[step : 2 * step] = low_sums[:step] + rates[i]
+        low_parity[step : 2 * step] = -low_parity[:step]
+
+    high_rates = rates[n_low:]
+    total1 = total2 = 0.0
+    for hmask in range(1 << high_rates.size):
+        if hmask == 0:
+            sums, parity, hparity = low_sums[1:], low_parity[1:], 1.0
+        else:
+            bits = [i for i in range(high_rates.size) if hmask >> i & 1]
+            sums = low_sums + float(high_rates[bits].sum())
+            parity = low_parity
+            hparity = -1.0 if len(bits) % 2 else 1.0
+        total1 -= hparity * float((parity / sums).sum())
+        terms = sums**2
+        total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
+    return total1, max(2.0 * total2 - total1 * total1, 0.0)
+
+
+def pairwise_sum(values) -> float:
+    """numpy's pairwise summation of a contiguous float64 run, in Python floats.
+
+    Under 8 values: one running sum from 0.0. Up to 128: eight running sums
+    over strides of 8, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then
+    the remainder added in order. Longer: split at n2 = n//2 - (n//2) % 8 and
+    add the two halves' sums.
+    """
+    values = list(map(float, values))
+
+    def tree(lo, n):
+        if n < 8:
+            total = 0.0
+            for v in values[lo : lo + n]:
+                total += v
+            return total
+        if n <= 128:
+            acc = values[lo : lo + 8]
+            i = 8
+            while i < n - n % 8:
+                for j in range(8):
+                    acc[j] += values[lo + i + j]
+                i += 8
+            total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+            for v in values[lo + i : lo + n]:
+                total += v
+            return total
+        n2 = n // 2
+        n2 -= n2 % 8
+        return tree(lo, n2) + tree(lo + n2, n - n2)
+
+    return 0.0 + tree(0, len(values))
 
 
 def harmonic_iid_expected_max(lam: float, r: int) -> float:
@@ -284,6 +353,23 @@ def reference_run_single(config, policy, seed):
     )
 
 
+# ---------------------------------------------------------------- output layer
+
+
+def _cell(v) -> str:
+    if isinstance(v, str):
+        return v
+    return str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+
+
+def write_table_by_cell(path, columns) -> None:
+    """``harness._write_table`` formatting one value at a time, row by row."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in zip(*cols)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 # ---------------------------------------------------------------- analysis layer
 
 
@@ -309,6 +395,24 @@ def delta_min_exhaustive(pool, b) -> float:
                 if member_means[v] > opt[v]:
                     best = min(best, member_means[v] - opt[v])
     return best
+
+
+def one_block_tail_rates(t, lam, eps_grid, trials, rng) -> dict:
+    """``verify.empirical_mean_tail_rates`` from one ``(trials, t)`` draw."""
+    from banditsgd.analysis import subgamma_tail, subgaussian_tail
+
+    centered = rng.standard_exponential((trials, t)).mean(axis=1) / lam - 1.0 / lam
+    sigma2 = 1.0 / (t * lam * lam)
+    out = {}
+    for eps in eps_grid:
+        threshold, right_bound = subgamma_tail(eps, sigma2, 1.0 / (t * lam))
+        out[eps] = {
+            "right_freq": float((centered > threshold).mean()),
+            "right_bound": right_bound,
+            "left_freq": float((centered <= -eps).mean()),
+            "left_bound": subgaussian_tail(eps, sigma2),
+        }
+    return out
 
 
 TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}

@@ -22,8 +22,9 @@ from banditsgd.analysis import (
 from banditsgd.harness import ExperimentConfig, run_single
 from banditsgd.latency import WorkerPool, expected_max, variance_of_max
 from banditsgd.policies import RoundSchedule, select_superarm_optimal
+from banditsgd.verify import empirical_mean_tail_rates
 
-from _oracles import delta_min_exhaustive
+from _oracles import delta_min_exhaustive, one_block_tail_rates
 from _oracles import regret_bound as oracle_regret_bound
 
 
@@ -334,3 +335,15 @@ def test_subgaussian_tail_values():
         subgaussian_tail(1.0, 0.0)
     with pytest.raises(ValueError):
         subgaussian_tail(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 4096, 4097, 20_000])
+def test_tail_rates_stream_equals_one_block(trials):
+    # row blocks consume the stream as one (trials, t) block does
+    eps_grid = (0.25, 0.5, 1.0, 2.0)
+    for t, lam in ((4, 1.0), (64, 2.0)):
+        streamed_rng, block_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        streamed = empirical_mean_tail_rates(t, lam, eps_grid, trials, streamed_rng)
+        block = one_block_tail_rates(t, lam, eps_grid, trials, block_rng)
+        assert repr(streamed) == repr(block)
+        assert streamed_rng.bit_generator.state == block_rng.bit_generator.state

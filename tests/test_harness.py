@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from banditsgd import analysis, sgd
+from banditsgd import analysis, harness, sgd
 from banditsgd.analysis import RunTrace
 from banditsgd.harness import (
     TRACE_HEADER,
@@ -23,12 +23,21 @@ from banditsgd.harness import (
     run_comparison,
     run_single,
     stream_rng,
+    write_comparison_tables,
     write_trace_csv,
 )
 from banditsgd.policies import RoundSchedule, compute_schedule
 from banditsgd.sgd import sample_batches
 
-from _oracles import apply_update, model_error, partial_gradient, reference_run_single, responses_at, superarm_at
+from _oracles import (
+    apply_update,
+    model_error,
+    partial_gradient,
+    reference_run_single,
+    responses_at,
+    superarm_at,
+    write_table_by_cell,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -433,6 +442,19 @@ def test_run_comparison_tables(tmp_path):
     assert (out / "error_curve_adaptive-ksync.csv").exists()
     assert (out / "regret_cmab-plain.csv").exists()
     assert (out / "employments_optimal.csv").exists()
+
+
+def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
+    # every table of a comparison, written by columns and by the per-value oracle
+    cfg = small_config(out_dir=str(tmp_path / "columns"), pool_seed=5, seeds=(0, 1))
+    result = run_comparison(cfg)
+    monkeypatch.setattr(harness, "_write_table", write_table_by_cell)
+    write_comparison_tables(result, cfg.replace(out_dir=str(tmp_path / "cells")))
+    names = sorted(os.listdir(tmp_path / "columns"))
+    assert names == sorted(os.listdir(tmp_path / "cells"))
+    assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1  # traces, curves, profiles, regret
+    for name in names:
+        assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes(), name
 
 
 def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch):

@@ -1,13 +1,14 @@
 """Latency model: sampling contracts and exact order-statistic moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd import latency
+from banditsgd.harness import benchmark_config, build_pool
 from banditsgd.latency import (
     WorkerPool,
     expected_max,
@@ -21,9 +22,11 @@ from banditsgd.verify import check_order_statistics, mc_max_mean, mc_max_samples
 from _oracles import (
     brute_expected_max,
     brute_variance_of_max,
+    full_array_max_moments,
     harmonic_iid_expected_max,
     kth_order_response,
     order_statistic_check,
+    pairwise_sum,
 )
 
 rate_lists = st.lists(st.floats(0.05, 50.0), min_size=1, max_size=8)
@@ -222,15 +225,66 @@ def test_expected_max_iid_harmonic_form(lam, r):
     assert expected_max([lam] * r) == pytest.approx(harmonic_iid_expected_max(lam, r), rel=1e-9)
 
 
-def test_expected_max_chunked_enumeration(monkeypatch):
-    rates = np.linspace(0.3, 9.0, 8)
-    mean, var = expected_max(rates), variance_of_max(rates)  # one chunk, no high mask
-    monkeypatch.setattr(latency, "_CHUNK_BITS", 3)  # 2^5 high masks of 2^3 low sums
-    assert expected_max(rates) == pytest.approx(mean, rel=1e-12)
-    assert variance_of_max(rates) == pytest.approx(var, rel=1e-12)
-    chunked = max_moments(rates)
-    assert chunked == pytest.approx((mean, var), rel=1e-12)
-    assert chunked == (expected_max(rates), variance_of_max(rates))
+def test_expected_max_high_mask_enumeration():
+    # 21 and 22 rates: the rates past the 20th form high masks, each adding
+    # its rate sum to every low subset sum
+    for k in (21, 22):
+        assert expected_max([2.5] * k) == pytest.approx(harmonic_iid_expected_max(2.5, k), rel=1e-9)
+        rates = np.linspace(0.3, 9.0, k)
+        moments = max_moments(rates)
+        assert moments == full_array_max_moments(rates)
+        assert moments[0] > max_moments(rates[:20])[0]  # more workers, a later maximum
+
+
+def _grid_rate_lists():
+    rng = np.random.default_rng(2024)
+    for k in range(1, 23):
+        for _ in range(3):
+            yield 1.0 / (rng.integers(1, 101, k) / 100.0)
+    yield [3.0]
+    yield [0.7] * 17
+    yield [1.0, 1.0, 2.0, 2.0] * 5
+    for seed in (0, 5):
+        pool = build_pool(benchmark_config(pool_seed=seed), seed)
+        for r in range(1, 21):
+            yield pool.rates[np.sort(pool.speed_order[:r])]
+            yield pool.rates[np.sort(pool.speed_order[pool.n - r :])]
+
+
+def test_max_moments_bit_identical_to_full_array_sum():
+    # ==, not approx: the blocked enumeration reproduces ndarray.sum's pairwise tree
+    checked = 0
+    for rates in _grid_rate_lists():
+        got = max_moments(rates)
+        want = full_array_max_moments(rates)
+        assert got == want, (len(rates), got, want)
+        assert (expected_max(rates), variance_of_max(rates)) == want
+        checked += 1
+    assert checked == 22 * 3 + 3 + 2 * 2 * 20
+
+
+def test_max_moments_memory_is_bounded_by_the_block():
+    rates = 1.0 / (np.arange(1, 21) / 20.0)
+    max_moments(rates)  # warm imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        max_moments(rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"a 20-rate max_moments traced {peak / 2**20:.1f} MiB"
+
+
+def test_numpy_sums_float64_along_the_pairwise_tree():
+    # max_moments is bit-identical to the full-array sum only while this rule holds
+    rng = np.random.default_rng(12)
+    for n in [*range(1, 301), 2**14 - 1, 2**14 + 1, 2**20 - 1, 2**20]:
+        values = rng.standard_normal(n) * rng.uniform(0.01, 1e3, n)
+        assert float(np.add.reduce(values)) == pairwise_sum(values.tolist()), (
+            f"np.add.reduce over {n} contiguous float64 no longer follows numpy's pairwise rule "
+            "(runs under 8 summed in order, up to 128 in eight interleaved sums, longer runs split "
+            "at n//2 - (n//2) % 8); latency._inclusion_exclusion_sum replicates that tree"
+        )
 
 
 @given(rate_lists)

@@ -17,7 +17,7 @@ exact and its time is exponential in the list length, hence the hard cap.
 Its memory is not: subset terms are built and summed in blocks of 2^14,
 combined along numpy's own pairwise-summation tree, so the totals are
 bit-identical to summing the full 2^k arrays while a call holds a few
-blocks, about 1 MiB, at any list length.
+blocks, about 1 MiB, at any list length, and frees them when it returns.
 """
 
 from __future__ import annotations
@@ -150,6 +150,47 @@ def _reciprocal_totals(sums: np.ndarray, parity: np.ndarray, scratch: np.ndarray
     return first, float(np.add.reduce(np.divide(parity, scratch, out=scratch)))
 
 
+def _leaf(table, upper: list, work, start: int, count: int, shift: float) -> tuple[float, float]:
+    """Totals of masks ``start .. start+count-1`` of one summed array, built in ``work``.
+
+    ``table`` holds the sums and parities of the low ``_BLOCK_BITS`` bits,
+    ``upper`` the rates of the higher low bits (added one at a time in
+    ascending bit order) and ``shift`` the high mask's rate sum. The range
+    spans at most two table blocks.
+    """
+    table_sums, table_parity = table
+    sums, parity, scratch = work
+    pos = start
+    while pos < start + count:
+        block, lo = divmod(pos, _BLOCK)
+        hi = min(_BLOCK, start + count - block * _BLOCK)
+        piece = slice(pos - start, pos - start + hi - lo)
+        piece_sums = sums[piece]
+        np.copyto(piece_sums, table_sums[lo:hi])
+        sign = 1.0
+        for i, rate in enumerate(upper):
+            if block >> i & 1:
+                piece_sums += rate
+                sign = -sign
+        np.multiply(table_parity[lo:hi], sign, out=parity[piece])
+        pos = hi + block * _BLOCK
+    leaf_sums = sums[:count]
+    if shift:
+        leaf_sums += shift
+    return _reciprocal_totals(leaf_sums, parity[:count], scratch[:count])
+
+
+def _tree(table, upper: list, work, start: int, count: int, shift: float) -> tuple[float, float]:
+    """``_leaf`` totals combined along numpy's pairwise tree (split at ``n//2 - (n//2) % 8``)."""
+    if count <= _BLOCK:
+        return _leaf(table, upper, work, start, count, shift)
+    half = count // 2
+    half -= half % 8
+    left = _tree(table, upper, work, start, half, shift)
+    right = _tree(table, upper, work, start + half, count - half, shift)
+    return left[0] + right[0], left[1] + right[1]
+
+
 def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     """Sums over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^p.
 
@@ -161,55 +202,29 @@ def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     of at most ``_BLOCK`` masks, and only the leaves are built: the sums of the
     low ``_BLOCK_BITS`` bits come from one table, the higher low bits are added
     one at a time in ascending bit order. Memory is a few arrays of
-    ``_BLOCK`` floats, whatever the list length.
+    ``_BLOCK`` floats, whatever the list length. They are passed to the
+    module-level ``_tree`` and ``_leaf``: a self-calling nested closure over
+    them would sit in a reference cycle and keep them past the return.
     """
     n_low = min(rates.size, _LOW_BITS)
-    table_sums, table_parity = _subset_table(rates[:_BLOCK_BITS])
+    table = _subset_table(rates[:_BLOCK_BITS])
     if rates.size <= _BLOCK_BITS:  # every non-empty subset fits one leaf
+        table_sums, table_parity = table
         first, second = _reciprocal_totals(table_sums[1:], table_parity[1:], np.empty(table_sums.size - 1))
         return -first, -second
     upper = rates[_BLOCK_BITS:n_low].tolist()
-    sums, parity, scratch = np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK)
-
-    def leaf(start: int, count: int, shift: float) -> tuple[float, float]:
-        # low masks start .. start+count-1, which span at most two table blocks
-        pos = start
-        while pos < start + count:
-            block, lo = divmod(pos, _BLOCK)
-            hi = min(_BLOCK, start + count - block * _BLOCK)
-            piece = slice(pos - start, pos - start + hi - lo)
-            piece_sums = sums[piece]
-            np.copyto(piece_sums, table_sums[lo:hi])
-            sign = 1.0
-            for i, rate in enumerate(upper):
-                if block >> i & 1:
-                    piece_sums += rate
-                    sign = -sign
-            np.multiply(table_parity[lo:hi], sign, out=parity[piece])
-            pos = hi + block * _BLOCK
-        leaf_sums = sums[:count]
-        if shift:
-            leaf_sums += shift
-        return _reciprocal_totals(leaf_sums, parity[:count], scratch[:count])
-
-    def tree(start: int, count: int, shift: float) -> tuple[float, float]:
-        if count <= _BLOCK:
-            return leaf(start, count, shift)
-        half = count // 2
-        half -= half % 8
-        left, right = tree(start, half, shift), tree(start + half, count - half, shift)
-        return left[0] + right[0], left[1] + right[1]
+    work = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK))
 
     high_rates = rates[n_low:]
     total1 = total2 = 0.0
     for hmask in range(1 << high_rates.size):
         if hmask == 0:
             # skip the empty set once; the high part adds nothing to the sums
-            first, second = tree(1, (1 << n_low) - 1, 0.0)
+            first, second = _tree(table, upper, work, 1, (1 << n_low) - 1, 0.0)
             hparity = 1.0
         else:
             bits = [i for i in range(high_rates.size) if hmask >> i & 1]
-            first, second = tree(0, 1 << n_low, float(high_rates[bits].sum()))
+            first, second = _tree(table, upper, work, 0, 1 << n_low, float(high_rates[bits].sum()))
             hparity = -1.0 if len(bits) % 2 else 1.0
         # (-1)^(|S|-1) = -(-1)^(|S|)
         total1 -= hparity * first
@@ -224,7 +239,7 @@ def max_moments(rates) -> tuple[float, float]:
     and E[max^2] = the same sum with 2 / (sum rates)^2, from one enumeration.
     The enumeration is exact and bit-identical to summing the whole 2^k term
     arrays with ``ndarray.sum``; its memory is bounded by the block size
-    (2^14 subsets), not by 2^k.
+    (2^14 subsets), not by 2^k, and is freed when the call returns.
     """
     mean, second = _inclusion_exclusion_sum(_validated_rates(rates))
     return mean, max(2.0 * second - mean * mean, 0.0)

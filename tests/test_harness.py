@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import functools
 import glob
 import math
 import os
@@ -20,6 +21,7 @@ from banditsgd.harness import (
     build_problem,
     error_at_employments,
     identify_fastest,
+    resolve_schedule,
     run_comparison,
     run_single,
     stream_rng,
@@ -29,6 +31,7 @@ from banditsgd.harness import (
 from banditsgd.policies import RoundSchedule, compute_schedule
 from banditsgd.sgd import sample_batches
 
+from _garbage import cyclic_package_garbage
 from _oracles import (
     apply_update,
     model_error,
@@ -455,6 +458,34 @@ def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
     assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1  # traces, curves, profiles, regret
     for name in names:
         assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes(), name
+
+
+def test_hot_paths_leave_no_package_cycles(tmp_path):
+    # a cycle through the package would keep its arrays until the cyclic
+    # collector runs; every hot path must free what it made when it returns
+    config = benchmark_config(simulate_sgd=False, pool_seed=0)
+    pool, schedule = build_pool(config, 0), resolve_schedule(config)
+    comparison = ExperimentConfig(
+        n=16,
+        b=16,
+        seeds=(0, 1),
+        schedule=",".join(str(5 * r) for r in range(1, 17)),
+        mean_step=0.01,
+        distinct_means=True,
+        pool_seed=3,
+        simulate_sgd=False,
+        out_dir=str(tmp_path / "out"),
+    )
+    paths = {
+        "compute_gaps": lambda: analysis.compute_gaps(pool, schedule),
+        "regret_bound_curve": lambda: analysis.regret_bound_curve(pool, schedule, np.arange(1, 101)),
+        **{f"run_single {p}": functools.partial(run_single, config, p, 0) for p in config.policies},
+        "run_comparison": lambda: run_comparison(comparison),  # gaps at r = 15, 16 reach the leaf tree
+    }
+    for name, path in paths.items():
+        with cyclic_package_garbage() as left:
+            path()
+        assert not left, f"{name} left package objects to the cyclic collector: {left}"
 
 
 def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch):

@@ -66,11 +66,8 @@ def _cmd_bounds(args) -> int:
     pool = WorkerPool(args.rates) if args.rates else harness.build_pool(config, config.seeds[0])
     if pool.n < config.b:
         raise ValueError(f"pool has {pool.n} workers but b={config.b}")
-    problem = None
-    if config.switching_points() is None:
-        if not config.simulate_sgd:
-            raise ValueError("computed schedule mode needs simulate_sgd=true")
-        problem = harness.build_problem(config, config.seeds[0])
+    computed = config.switching_points() is None and config.simulate_sgd
+    problem = harness.build_problem(config, config.seeds[0]) if computed else None
     schedule = harness.resolve_schedule(config, problem)
 
     gaps = analysis.compute_gaps(pool, schedule)

@@ -375,11 +375,11 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
             draws = response_vector(pool, latency_rng, count)
             arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
             resp[:] = np.take_along_axis(draws, arms, axis=1)
-            record_outcome(state, np.arange(n), draws, pool, n, start + 1)
+            record_outcome(state, np.arange(n), draws, pool, start + 1)
         else:
             arms[:] = arm = select_superarm_optimal(pool, r)
             resp[:] = member_responses(pool, arm, latency_rng, count)
-            record_outcome(state, arm, resp, pool, r, start + 1)
+            record_outcome(state, arm, resp, pool, start + 1)
         start = stop
 
     return RunTrace(
@@ -421,30 +421,36 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
 
 @dataclass
 class IdentificationReport:
-    """Which workers each run ended up treating as the fastest b."""
+    """Which workers each run ended up treating as the fastest b.
+
+    ``accuracies[i]`` is run i's overlap with the true fastest b, divided by b.
+    """
 
     identified: list
     accuracies: np.ndarray
-    mean_accuracy: float
-    exact_matches: int
+
+    @property
+    def mean_accuracy(self) -> float:
+        return float(self.accuracies.mean())
+
+    @property
+    def exact_matches(self) -> int:
+        """Runs that identified all b (overlap / b is 1.0 exactly when overlap == b)."""
+        return int(np.count_nonzero(self.accuracies == 1.0))
 
 
 def identify_fastest(traces) -> IdentificationReport:
     """Most-employed b workers in each run's final round vs the true fastest b."""
     identified = []
     accuracies = []
-    exact = 0
     for trace in traces:
         b = trace.schedule.b
         counts = trace.final_round_counts()
         chosen = np.sort(np.argsort(-counts, kind="stable")[:b])
         truth = np.sort(trace.pool.speed_order[:b])
-        overlap = np.intersect1d(chosen, truth).size
         identified.append(chosen)
-        accuracies.append(overlap / b)
-        exact += int(overlap == b)
-    acc = np.asarray(accuracies)
-    return IdentificationReport(identified, acc, float(acc.mean()), exact)
+        accuracies.append(np.intersect1d(chosen, truth).size / b)
+    return IdentificationReport(identified, np.asarray(accuracies))
 
 
 def error_at_employments(trace: RunTrace, budget: int) -> float:

@@ -14,10 +14,11 @@ response that k-sync waits for, are row reductions of a block.
 The moment formulas enumerate the non-empty subsets of the rate list
 (inclusion-exclusion over the joint survival function). The enumeration is
 exact and its time is exponential in the list length, hence the hard cap.
-Its memory is not: subset terms are built and summed in blocks of 2^14,
-combined along numpy's own pairwise-summation tree, so the totals are
-bit-identical to summing the full 2^k arrays while a call holds a few
-blocks, about 1 MiB, at any list length, and frees them when it returns.
+Its memory is not: the terms of the 2^k - 1 non-empty masks are built and
+summed in blocks of 2^14, combined along numpy's own pairwise-summation
+tree, so the totals are bit-identical to ``np.add.reduce`` over that one
+array while a call holds a few blocks, about 1 MiB, at any list length, and
+frees them when it returns.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ import numpy as np
 # 2^25 terms is the largest enumeration we allow before failing loudly;
 # beyond that the caller should rethink, not silently approximate.
 SUBSET_ENUMERATION_CAP = 25
-# Masks over the first _LOW_BITS rates form one summed array per mask of the
-# rest; each array is built and summed in leaves of _BLOCK masks.
-_LOW_BITS = 20
+# The array of subset terms is built and summed in leaves of _BLOCK masks.
 _BLOCK_BITS = 14
 _BLOCK = 1 << _BLOCK_BITS
 
@@ -150,13 +149,12 @@ def _reciprocal_totals(sums: np.ndarray, parity: np.ndarray, scratch: np.ndarray
     return first, float(np.add.reduce(np.divide(parity, scratch, out=scratch)))
 
 
-def _leaf(table, upper: list, work, start: int, count: int, shift: float) -> tuple[float, float]:
-    """Totals of masks ``start .. start+count-1`` of one summed array, built in ``work``.
+def _leaf(table, upper: list, work, start: int, count: int) -> tuple[float, float]:
+    """Totals of masks ``start .. start+count-1``, built in ``work``.
 
-    ``table`` holds the sums and parities of the low ``_BLOCK_BITS`` bits,
-    ``upper`` the rates of the higher low bits (added one at a time in
-    ascending bit order) and ``shift`` the high mask's rate sum. The range
-    spans at most two table blocks.
+    ``table`` holds the sums and parities of the low ``_BLOCK_BITS`` bits and
+    ``upper`` the rates of the higher bits, added one at a time in ascending
+    bit order. The range spans at most two table blocks.
     """
     table_sums, table_parity = table
     sums, parity, scratch = work
@@ -174,20 +172,17 @@ def _leaf(table, upper: list, work, start: int, count: int, shift: float) -> tup
                 sign = -sign
         np.multiply(table_parity[lo:hi], sign, out=parity[piece])
         pos = hi + block * _BLOCK
-    leaf_sums = sums[:count]
-    if shift:
-        leaf_sums += shift
-    return _reciprocal_totals(leaf_sums, parity[:count], scratch[:count])
+    return _reciprocal_totals(sums[:count], parity[:count], scratch[:count])
 
 
-def _tree(table, upper: list, work, start: int, count: int, shift: float) -> tuple[float, float]:
+def _tree(table, upper: list, work, start: int, count: int) -> tuple[float, float]:
     """``_leaf`` totals combined along numpy's pairwise tree (split at ``n//2 - (n//2) % 8``)."""
     if count <= _BLOCK:
-        return _leaf(table, upper, work, start, count, shift)
+        return _leaf(table, upper, work, start, count)
     half = count // 2
     half -= half % 8
-    left = _tree(table, upper, work, start, half, shift)
-    right = _tree(table, upper, work, start + half, count - half, shift)
+    left = _tree(table, upper, work, start, half)
+    right = _tree(table, upper, work, start + half, count - half)
     return left[0] + right[0], left[1] + right[1]
 
 
@@ -195,41 +190,25 @@ def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     """Sums over non-empty subsets S of (-1)^(|S|-1) / (sum of rates in S)^p.
 
     Returns the p=1 and the p=2 sum, both from one enumeration of the subset
-    sums, and bit-identical to summing the full 2^k arrays with ``ndarray.sum``.
-    Masks over the low ``_LOW_BITS`` rates form one array per high mask (the
-    high mask's rate sum added to every low sum). Each array is summed along
-    numpy's pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves
-    of at most ``_BLOCK`` masks, and only the leaves are built: the sums of the
-    low ``_BLOCK_BITS`` bits come from one table, the higher low bits are added
-    one at a time in ascending bit order. Memory is a few arrays of
-    ``_BLOCK`` floats, whatever the list length. They are passed to the
-    module-level ``_tree`` and ``_leaf``: a self-calling nested closure over
-    them would sit in a reference cycle and keep them past the return.
+    sums, and bit-identical to ``np.add.reduce`` over the one array of the
+    2^k - 1 non-empty masks' terms. That array is summed along numpy's
+    pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves of at
+    most ``_BLOCK`` masks, and only the leaves are built: the sums of the low
+    ``_BLOCK_BITS`` bits come from one table, the higher bits are added one
+    at a time in ascending bit order. Memory is a few arrays of ``_BLOCK``
+    floats, whatever the list length. They are passed to the module-level
+    ``_tree`` and ``_leaf``: a self-calling nested closure over them would sit
+    in a reference cycle and keep them past the return.
     """
-    n_low = min(rates.size, _LOW_BITS)
     table = _subset_table(rates[:_BLOCK_BITS])
     if rates.size <= _BLOCK_BITS:  # every non-empty subset fits one leaf
         table_sums, table_parity = table
         first, second = _reciprocal_totals(table_sums[1:], table_parity[1:], np.empty(table_sums.size - 1))
-        return -first, -second
-    upper = rates[_BLOCK_BITS:n_low].tolist()
-    work = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK))
-
-    high_rates = rates[n_low:]
-    total1 = total2 = 0.0
-    for hmask in range(1 << high_rates.size):
-        if hmask == 0:
-            # skip the empty set once; the high part adds nothing to the sums
-            first, second = _tree(table, upper, work, 1, (1 << n_low) - 1, 0.0)
-            hparity = 1.0
-        else:
-            bits = [i for i in range(high_rates.size) if hmask >> i & 1]
-            first, second = _tree(table, upper, work, 0, 1 << n_low, float(high_rates[bits].sum()))
-            hparity = -1.0 if len(bits) % 2 else 1.0
-        # (-1)^(|S|-1) = -(-1)^(|S|)
-        total1 -= hparity * first
-        total2 -= hparity * second
-    return total1, total2
+    else:
+        work = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK))
+        first, second = _tree(table, rates[_BLOCK_BITS:].tolist(), work, 1, (1 << rates.size) - 1)
+    # (-1)^(|S|-1) = -(-1)^|S|
+    return -first, -second
 
 
 def max_moments(rates) -> tuple[float, float]:
@@ -237,9 +216,10 @@ def max_moments(rates) -> tuple[float, float]:
 
     E[max] = sum over non-empty subsets S of (-1)^(|S|-1) / sum_{i in S} rates_i
     and E[max^2] = the same sum with 2 / (sum rates)^2, from one enumeration.
-    The enumeration is exact and bit-identical to summing the whole 2^k term
-    arrays with ``ndarray.sum``; its memory is bounded by the block size
-    (2^14 subsets), not by 2^k, and is freed when the call returns.
+    The enumeration is exact and bit-identical to ``np.add.reduce`` over the
+    one array of the 2^k - 1 non-empty subsets' terms; its memory is bounded
+    by the block size (2^14 subsets), not by 2^k, and is freed when the call
+    returns.
     """
     mean, second = _inclusion_exclusion_sum(_validated_rates(rates))
     return mean, max(2.0 * second - mean * mean, 0.0)

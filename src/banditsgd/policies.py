@@ -179,21 +179,14 @@ def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
     return np.sort(pool.speed_order[:r])
 
 
-def record_outcome(
-    state: BanditState,
-    superarm,
-    responses,
-    pool: WorkerPool,
-    r: int,
-    j: int,
-) -> BanditState:
+def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool, j: int) -> BanditState:
     """Fold the observations of iteration j into the counters (in place).
 
     ``responses[t]`` must be the response time of the ``t``-th member of the
-    (ascending) superarm. An ``(L, r)`` block folds in ``L`` consecutive
-    iterations ``j .. j+L-1`` of the same superarm, row ``i`` being iteration
-    ``j+i``, with the same result as ``L`` single calls: response sums are
-    accumulated row after row.
+    (ascending) superarm of size ``r``. An ``(L, r)`` block folds in ``L``
+    consecutive iterations ``j .. j+L-1`` of the same superarm, row ``i``
+    being iteration ``j+i``, with the same result as ``L`` single calls:
+    response sums are accumulated row after row.
 
     When the chosen superarm is suboptimal, the suboptimal-pull counter of its
     least-pulled member (lowest index on ties, pulls as of before this update)
@@ -203,19 +196,15 @@ def record_outcome(
     block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
     if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != arm.size:
         raise ValueError(f"responses of shape {np.shape(responses)} do not fit a superarm of size {arm.size}")
-    if arm.size != r:
-        raise ValueError(f"superarm has {arm.size} members, expected round size {r}")
     if j != state.current_iteration + 1:
         raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
 
     iterations = block.shape[0]
-    bar = _suboptimality_bar(pool, r)
+    bar = _suboptimality_bar(pool, arm.size)
     _charge_if_suboptimal(state.suboptimal_pulls, state.pulls, arm, pool.means[arm], bar, iterations)
     state.pulls[arm] += iterations
-    if iterations == 1:
-        state.response_sums[arm] += block[0]
-    else:  # cumsum adds row after row, as single calls would; a pairwise sum would change bits
-        state.response_sums[arm] = np.cumsum(np.vstack([state.response_sums[arm], block]), axis=0)[-1]
+    # cumsum adds row after row, as single calls would; a pairwise sum would change bits
+    state.response_sums[arm] = np.cumsum(np.vstack([state.response_sums[arm], block]), axis=0)[-1]
     state.current_iteration = j + iterations - 1
     return state
 

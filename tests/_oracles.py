@@ -50,34 +50,20 @@ def brute_variance_of_max(rates) -> float:
 def full_array_max_moments(rates) -> tuple[float, float]:
     """``latency.max_moments`` from whole 2^k arrays: the bit-identity oracle.
 
-    Subset sums by doubling over the first 20 rates, one array per mask of
-    the rest (its rate sum added to every low sum), each summed at once with
-    ``ndarray.sum``; up to four 2^20 arrays live at a time.
+    Subset sums by doubling over all k rates, then one ``np.add.reduce`` per
+    moment over the 2^k - 1 non-empty masks' terms.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=np.float64))
-    n_low = min(rates.size, 20)
-    size_low = 1 << n_low
-    low_sums = np.zeros(size_low)
-    low_parity = np.ones(size_low)  # (-1)^popcount(mask)
-    for i in range(n_low):
+    sums = np.zeros(1 << rates.size)
+    parity = np.ones(1 << rates.size)  # (-1)^popcount(mask)
+    for i, rate in enumerate(rates):
         step = 1 << i
-        low_sums[step : 2 * step] = low_sums[:step] + rates[i]
-        low_parity[step : 2 * step] = -low_parity[:step]
-
-    high_rates = rates[n_low:]
-    total1 = total2 = 0.0
-    for hmask in range(1 << high_rates.size):
-        if hmask == 0:
-            sums, parity, hparity = low_sums[1:], low_parity[1:], 1.0
-        else:
-            bits = [i for i in range(high_rates.size) if hmask >> i & 1]
-            sums = low_sums + float(high_rates[bits].sum())
-            parity = low_parity
-            hparity = -1.0 if len(bits) % 2 else 1.0
-        total1 -= hparity * float((parity / sums).sum())
-        terms = sums**2
-        total2 -= hparity * float(np.divide(parity, terms, out=terms).sum())
-    return total1, max(2.0 * total2 - total1 * total1, 0.0)
+        sums[step : 2 * step] = sums[:step] + rate
+        parity[step : 2 * step] = -parity[:step]
+    sums, parity = sums[1:], parity[1:]
+    mean = -float(np.add.reduce(parity / sums))
+    second = -float(np.add.reduce(parity / sums**2))
+    return mean, max(2.0 * second - mean * mean, 0.0)
 
 
 def pairwise_sum(values) -> float:
@@ -325,7 +311,7 @@ def reference_run_single(config, policy, seed):
         else:
             arm = optimal_sets[r - 1] if variant is None else select_superarm(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng, 1)[0]
-            record_outcome(state, arm, resp, pool, r, j)
+            record_outcome(state, arm, resp, pool, j)
         times[j - 1] = resp.max()
         lo = offsets[j - 1]
         members[lo : lo + r] = arm

@@ -234,6 +234,13 @@ def test_bounds_emits_json(tmp_path, capsys):
     assert payload["regret_bounds"][0]["bound_tighter"] > 0
 
 
+def test_bounds_computed_schedule_needs_sgd(tmp_path, capsys):
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\nschedule = computed\nsimulate_sgd = false\n")
+    assert main(["bounds", "--config", cfg, "--rates", "1,2,4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: computed schedule mode") and "simulate_sgd" in err
+
+
 @pytest.mark.parametrize(
     "flag, value, kind", [("--eps", "abc", "float"), ("--j", "1.5", "int"), ("--rates", "1,x", "float")]
 )

@@ -227,10 +227,11 @@ def test_expected_max_iid_harmonic_form(lam, r):
 
 
 def test_expected_max_high_mask_enumeration():
-    # 21 and 22 rates: the rates past the 20th form high masks, each adding
-    # its rate sum to every low subset sum
-    for k in (21, 22):
+    # past 20 rates the one pairwise tree still equals np.add.reduce over the
+    # one 2^k - 1 term array; 25 is the cap itself
+    for k in (21, 22, 25):
         assert expected_max([2.5] * k) == pytest.approx(harmonic_iid_expected_max(2.5, k), rel=1e-9)
+    for k in (21, 22):
         rates = np.linspace(0.3, 9.0, k)
         moments = max_moments(rates)
         assert moments == full_array_max_moments(rates)

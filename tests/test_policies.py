@@ -206,7 +206,7 @@ def test_round_step_matches_per_iteration_oracle(seed, scaled):
         np.testing.assert_array_equal(arms[i], arm)
         row = draws[i] * pool.means[arm]
         assert responses[i].tobytes() == row.tobytes()
-        record_outcome(oracle, arm, row, pool, r, j)
+        record_outcome(oracle, arm, row, pool, j)
     assert start.pulls.dtype == oracle.pulls.dtype
     for name in ("pulls", "response_sums", "suboptimal_pulls"):
         assert getattr(start, name).tobytes() == getattr(oracle, name).tobytes(), name
@@ -241,7 +241,7 @@ def test_round_step_faults_leave_state_untouched():
 def test_record_outcome_optimal_leaves_counters():
     pool = WorkerPool([4.0, 2.0, 1.0])
     st8 = BanditState.zeros(3)
-    record_outcome(st8, [0, 1], [0.3, 0.6], pool, 2, 1)
+    record_outcome(st8, [0, 1], [0.3, 0.6], pool, 1)
     assert st8.suboptimal_pulls.sum() == 0
     np.testing.assert_array_equal(st8.pulls, [1, 1, 0])
     np.testing.assert_allclose(st8.response_sums, [0.3, 0.6, 0.0])
@@ -251,10 +251,10 @@ def test_record_outcome_optimal_leaves_counters():
 def test_record_outcome_suboptimal_increments_least_pulled():
     pool = WorkerPool([4.0, 2.0, 1.0])  # optimal pair is {0, 1}
     st8 = state_with([3, 2, 2], [0.9, 1.0, 2.0], iteration=7)
-    record_outcome(st8, [0, 2], [0.2, 1.1], pool, 2, 8)
+    record_outcome(st8, [0, 2], [0.2, 1.1], pool, 8)
     np.testing.assert_array_equal(st8.suboptimal_pulls, [0, 0, 1])  # worker 2 least pulled among {0, 2}
     st9 = state_with([2, 2, 2], [0.9, 1.0, 2.0], iteration=7)
-    record_outcome(st9, [0, 2], [0.2, 1.1], pool, 2, 8)
+    record_outcome(st9, [0, 2], [0.2, 1.1], pool, 8)
     np.testing.assert_array_equal(st9.suboptimal_pulls, [1, 0, 0])  # tie broken by lowest index
 
 
@@ -262,11 +262,9 @@ def test_record_outcome_faults():
     pool = WorkerPool([1.0, 2.0])
     st8 = BanditState.zeros(2)
     with pytest.raises(ValueError):
-        record_outcome(st8, [0, 1], [0.5], pool, 2, 1)
+        record_outcome(st8, [0, 1], [0.5], pool, 1)
     with pytest.raises(ValueError):
-        record_outcome(st8, [0], [0.5], pool, 2, 1)
-    with pytest.raises(ValueError):
-        record_outcome(st8, [0], [0.5], pool, 1, 5)
+        record_outcome(st8, [0], [0.5], pool, 5)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -280,7 +278,7 @@ def test_bookkeeping_invariants_random_walk(seed):
     for j in range(1, 40):
         r = int(rng.integers(1, n + 1))
         arm = np.sort(rng.choice(n, size=r, replace=False))
-        record_outcome(st8, arm, rng.exponential(pool.means[arm]), pool, r, j)
+        record_outcome(st8, arm, rng.exponential(pool.means[arm]), pool, j)
         employments += r
     assert st8.pulls.sum() == employments
     assert np.all(st8.suboptimal_pulls <= st8.pulls)
@@ -299,7 +297,7 @@ def test_suboptimality_decider_exact_vs_sorted_means():
         best = select_superarm_optimal(pool, r)
         truth = expected_max(pool.rates[arm]) > expected_max(pool.rates[best]) + 1e-12
         assert superarm_is_suboptimal(pool, arm) == truth
-        st8 = record_outcome(BanditState.zeros(n), arm, pool.means[arm], pool, r, 1)
+        st8 = record_outcome(BanditState.zeros(n), arm, pool.means[arm], pool, 1)
         assert st8.suboptimal_pulls.sum() == truth
 
 
@@ -314,8 +312,8 @@ def test_record_outcome_block_equals_single_calls(arm):
         block = rng.exponential(pool.means[arm], size=(500, len(arm)))
         single = state_with(pulls.copy(), sums.copy(), iteration=9)
         for i, row in enumerate(block):
-            record_outcome(single, arm, row, pool, len(arm), 10 + i)
-        batched = record_outcome(state_with(pulls.copy(), sums.copy(), iteration=9), arm, block, pool, len(arm), 10)
+            record_outcome(single, arm, row, pool, 10 + i)
+        batched = record_outcome(state_with(pulls.copy(), sums.copy(), iteration=9), arm, block, pool, 10)
         np.testing.assert_array_equal(batched.pulls, single.pulls)
         assert batched.response_sums.tobytes() == single.response_sums.tobytes()
         np.testing.assert_array_equal(batched.suboptimal_pulls, single.suboptimal_pulls)
@@ -327,7 +325,7 @@ def test_record_outcome_block_shape_faults():
     pool = WorkerPool([1.0, 2.0, 4.0])
     for bad in (np.ones((4, 3)), np.ones((4, 2, 1)), np.ones((0, 2))):
         with pytest.raises(ValueError, match="do not fit"):
-            record_outcome(BanditState.zeros(3), [0, 1], bad, pool, 2, 1)
+            record_outcome(BanditState.zeros(3), [0, 1], bad, pool, 1)
 
 
 # ---------------------------------------------------------------- k-sync draw

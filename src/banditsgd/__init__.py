@@ -32,10 +32,7 @@ from .latency import (
     variance_of_max,
 )
 from .policies import (
-    PLAIN,
-    SCALED,
     BanditState,
-    RadiusVariant,
     RoundSchedule,
     compute_schedule,
     record_outcome,

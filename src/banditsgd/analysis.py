@@ -235,8 +235,10 @@ def completion_time_bound(
     that go negative (rounds too short for the variance) are clamped to zero.
     ``mu_opt`` and ``var_opt`` are read from ``gaps``, computed when not given.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    if not math.isfinite(regret):
+        raise ValueError(f"regret must be finite, got {regret}")
     if j < 1:
         raise ValueError("iteration must be >= 1")
     gaps = _gaps_for(pool, schedule, gaps)

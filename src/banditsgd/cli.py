@@ -11,6 +11,7 @@ import sys
 
 from . import analysis, harness, verify
 from .latency import WorkerPool
+from .policies import RADIUS_VARIANTS
 
 logger = logging.getLogger(__name__)
 
@@ -153,7 +154,7 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--schedule", help="'computed' or comma-separated switching points")
-        p.add_argument("--variant", choices=("plain", "scaled"), help="radius variant for the bare 'cmab' policy")
+        p.add_argument("--variant", choices=RADIUS_VARIANTS, help="radius variant for the bare 'cmab' policy")
         p.add_argument(
             "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
         )

@@ -25,10 +25,8 @@ from . import analysis, sgd
 from .analysis import RunTrace
 from .latency import WorkerPool, member_responses, response_vector
 from .policies import (
-    PLAIN,
-    SCALED,
+    RADIUS_VARIANTS,
     BanditState,
-    RadiusVariant,
     RoundSchedule,
     compute_schedule,
     record_outcome,
@@ -108,8 +106,8 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {values}")
-        if self.variant not in ("plain", "scaled"):
-            raise ValueError("variant must be 'plain' or 'scaled'")
+        if self.variant not in RADIUS_VARIANTS:
+            raise ValueError(f"variant must be one of {RADIUS_VARIANTS}, got {self.variant!r}")
         if not 0 < self.mean_min <= self.mean_max < math.inf:
             raise ValueError(f"need 0 < mean_min <= mean_max < inf, got {self.mean_min} and {self.mean_max}")
         if not 0 < self.mean_step < math.inf:
@@ -275,14 +273,9 @@ def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
     return compute_schedule(sgd.estimate_bound_params(problem), config.b, config.theta, config.j_cap)
 
 
-def policy_variant(policy: str, config: ExperimentConfig) -> RadiusVariant | None:
-    if policy == "cmab-plain":
-        return PLAIN
-    if policy == "cmab-scaled":
-        return SCALED
-    if policy == "cmab":
-        return PLAIN if config.variant == "plain" else SCALED
-    return None
+def policy_variant(policy: str, config: ExperimentConfig) -> str | None:
+    """The radius variant a bandit policy runs (``config.variant`` for bare ``cmab``); None for the others."""
+    return {"cmab-plain": "plain", "cmab-scaled": "scaled", "cmab": config.variant}.get(policy)
 
 
 @dataclass(eq=False)
@@ -370,16 +363,16 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         if variant is not None:
             # scaling a standard exponential by the mean is exactly how member_responses draws it
             latency_rng.standard_exponential(out=resp)
-            arms[:] = select_superarm_cmab(state, variant, pool, resp, start + 1)
+            arms[:] = select_superarm_cmab(state, variant, pool, resp)
         elif is_ksync:
             draws = response_vector(pool, latency_rng, count)
             arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
             resp[:] = np.take_along_axis(draws, arms, axis=1)
-            record_outcome(state, np.arange(n), draws, pool, start + 1)
+            record_outcome(state, np.arange(n), draws, pool)
         else:
             arms[:] = arm = select_superarm_optimal(pool, r)
             resp[:] = member_responses(pool, arm, latency_rng, count)
-            record_outcome(state, arm, resp, pool, start + 1)
+            record_outcome(state, arm, resp, pool)
         start = stop
 
     return RunTrace(

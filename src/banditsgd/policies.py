@@ -19,6 +19,8 @@ from .latency import WorkerPool
 
 SUBOPTIMALITY_TOL = 1e-12
 
+RADIUS_VARIANTS = ("plain", "scaled")
+
 
 @dataclass
 class BanditState:
@@ -51,26 +53,6 @@ class BanditState:
         return int(self.pulls.size)
 
 
-@dataclass(frozen=True)
-class RadiusVariant:
-    """Exploration-scale choice f(j) inside the confidence radius.
-
-    ``plain`` uses f(j) = 2 log j. ``scaled`` multiplies by the smallest
-    empirical mean among pulled workers (0 when nothing was pulled yet), which
-    shrinks exploration once fast workers look fast.
-    """
-
-    tag: str
-
-    def __post_init__(self) -> None:
-        if self.tag not in ("plain", "scaled"):
-            raise ValueError(f"unknown radius variant {self.tag!r}")
-
-
-PLAIN = RadiusVariant("plain")
-SCALED = RadiusVariant("scaled")
-
-
 def _suboptimality_bar(pool: WorkerPool, r: int) -> np.ndarray:
     """The pool's r smallest means plus the tolerance: a superarm of r members
     is suboptimal when some sorted member mean exceeds its entry."""
@@ -93,25 +75,28 @@ def _charge_if_suboptimal(suboptimal_pulls, pulls, arm, member_means, bar, itera
         suboptimal_pulls[arm[pulls[arm].argmin()]] += iterations
 
 
-def select_superarm_cmab(
-    state: BanditState, variant: RadiusVariant, pool: WorkerPool, draws: np.ndarray, j: int
-) -> np.ndarray:
-    """Play iterations ``j .. j+L-1`` of one bandit round; return their ``(L, r)`` superarms.
+def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, draws: np.ndarray) -> np.ndarray:
+    """Play the next ``L`` iterations of one bandit round; return their ``(L, r)`` superarms.
 
     ``draws`` is the round's ``(L, r)`` float64 block of standard exponential
-    variates. For each iteration in turn this picks the ``r`` workers with the
-    lowest LCBs on the counters so far (ties to the lowest index; the members
-    of a row ascend), scales that row of ``draws`` in place by the members'
-    mean response times, so the row becomes the observed responses, and folds
-    the row into ``state`` as ``record_outcome`` would.
+    variates; its first row is iteration ``j = state.current_iteration + 1``.
+    For each iteration in turn this picks the ``r`` workers with the lowest
+    LCBs on the counters so far (ties to the lowest index; the members of a
+    row ascend), scales that row of ``draws`` in place by the members' mean
+    response times, so the row becomes the observed responses, and folds the
+    row into ``state`` as ``record_outcome`` would.
 
     An arm's LCB at iteration ``j`` is its empirical mean minus the radius
-    ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``, times the smallest
-    pulled empirical mean for the scaled variant; unpulled arms score
-    -infinity. Counts are held as one float64 array within the call (exact
-    for integers) and written back to ``state.pulls`` at the end.
+    ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``; unpulled arms score
+    -infinity. ``variant`` is one of ``RADIUS_VARIANTS``: ``plain`` uses that
+    ``f``, ``scaled`` multiplies it by the smallest empirical mean among
+    pulled workers, which shrinks exploration once fast workers look fast.
+    Counts are held as one float64 array within the call (exact for
+    integers) and written back to ``state.pulls`` at the end.
     """
     n = state.n
+    if variant not in RADIUS_VARIANTS:
+        raise ValueError(f"unknown radius variant {variant!r}; choose from {RADIUS_VARIANTS}")
     if not isinstance(draws, np.ndarray) or draws.ndim != 2 or draws.dtype != np.float64:
         raise ValueError(f"draws must be a 2-D float64 array, got {type(draws).__name__} of shape {np.shape(draws)}")
     iterations, r = draws.shape
@@ -121,42 +106,37 @@ def select_superarm_cmab(
         raise ValueError("draws must hold at least one iteration")
     if pool.n != n:
         raise ValueError(f"pool has {pool.n} workers, state has {n}")
-    if j != state.current_iteration + 1:
-        raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
+    j = state.current_iteration + 1
     if j == 1 and state.pulls.any():
         raise ValueError("no worker can have pulls before the first iteration")
 
-    scaled = variant.tag == "scaled"
+    scaled = variant == "scaled"
     counts = state.pulls.astype(np.float64)
     sums, subopt, bar = state.response_sums, state.suboptimal_pulls, _suboptimality_bar(pool, r)
     radius, lcb = np.empty(n), np.empty(n)
     arms = np.empty((iterations, r), dtype=np.int64)
     # reductions are slow on small arrays: count_nonzero and argmin stand in for all() and min()
-    exploring = np.count_nonzero(counts) < n
+    pulled = np.count_nonzero(counts)
     for i in range(iterations):
-        if exploring:
-            unpulled = counts == 0
-            if np.count_nonzero(unpulled) == n:
-                lcb.fill(-np.inf)
-            else:
-                t = np.maximum(counts, 1.0)
-                f = 2.0 * math.log(j + i - 1)
-                if scaled:
-                    pulled_means = (sums / t)[~unpulled]
-                    f *= float(pulled_means[pulled_means.argmin()])
-                np.divide(sums, t, out=lcb)
-                lcb -= np.sqrt(4.0 * f / t) + 2.0 * f / t
-                lcb[unpulled] = -np.inf
+        if pulled == 0:
+            lcb.fill(-np.inf)
         else:
+            # while an arm is unpulled, t counts it as 1 and it scores -inf; after that t is the counts
+            unpulled = counts == 0 if pulled < n else None
+            t = counts if unpulled is None else np.maximum(counts, 1.0)
             f = 2.0 * math.log(j + i - 1)
             if scaled:
-                np.divide(sums, counts, out=lcb)
+                np.divide(sums, t, out=lcb)
+                if unpulled is not None:
+                    lcb[unpulled] = np.inf  # the smallest pulled mean skips them
                 f *= float(lcb[lcb.argmin()])
-            np.divide(4.0 * f, counts, out=radius)
+            np.divide(4.0 * f, t, out=radius)
             np.sqrt(radius, out=radius)
-            radius += np.divide(2.0 * f, counts, out=lcb)
-            np.divide(sums, counts, out=lcb)
+            radius += np.divide(2.0 * f, t, out=lcb)
+            np.divide(sums, t, out=lcb)
             lcb -= radius
+            if unpulled is not None:
+                lcb[unpulled] = -np.inf
         arm = arms[i]
         arm[:] = lcb.argsort(kind="stable")[:r]
         arm.sort()
@@ -165,10 +145,10 @@ def select_superarm_cmab(
         _charge_if_suboptimal(subopt, counts, arm, member_means, bar, 1)
         counts[arm] += 1.0
         sums[arm] += row
-        if exploring:
-            exploring = np.count_nonzero(counts) < n
+        if pulled < n:
+            pulled = np.count_nonzero(counts)
     state.pulls[:] = counts
-    state.current_iteration = j + iterations - 1
+    state.current_iteration += iterations
     return arms
 
 
@@ -179,14 +159,15 @@ def select_superarm_optimal(pool: WorkerPool, r: int) -> np.ndarray:
     return np.sort(pool.speed_order[:r])
 
 
-def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool, j: int) -> BanditState:
-    """Fold the observations of iteration j into the counters (in place).
+def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool) -> BanditState:
+    """Fold the observations of the next iteration into the counters (in place).
 
     ``responses[t]`` must be the response time of the ``t``-th member of the
-    (ascending) superarm of size ``r``. An ``(L, r)`` block folds in ``L``
-    consecutive iterations ``j .. j+L-1`` of the same superarm, row ``i``
-    being iteration ``j+i``, with the same result as ``L`` single calls:
-    response sums are accumulated row after row.
+    (ascending) superarm of size ``r``. An ``(L, r)`` block folds in the next
+    ``L`` iterations of the same superarm, row ``i`` being iteration
+    ``state.current_iteration + 1 + i``, with the same result as ``L`` single
+    calls: response sums are accumulated row after row, and the state
+    advances by ``L`` iterations.
 
     When the chosen superarm is suboptimal, the suboptimal-pull counter of its
     least-pulled member (lowest index on ties, pulls as of before this update)
@@ -196,8 +177,6 @@ def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool, j:
     block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
     if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != arm.size:
         raise ValueError(f"responses of shape {np.shape(responses)} do not fit a superarm of size {arm.size}")
-    if j != state.current_iteration + 1:
-        raise ValueError(f"iteration {j} does not follow recorded iteration {state.current_iteration}")
 
     iterations = block.shape[0]
     bar = _suboptimality_bar(pool, arm.size)
@@ -205,7 +184,7 @@ def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool, j:
     state.pulls[arm] += iterations
     # cumsum adds row after row, as single calls would; a pairwise sum would change bits
     state.response_sums[arm] = np.cumsum(np.vstack([state.response_sums[arm], block]), axis=0)[-1]
-    state.current_iteration = j + iterations - 1
+    state.current_iteration += iterations
     return state
 
 

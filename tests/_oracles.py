@@ -169,7 +169,7 @@ def exploration_scale(state, variant, j) -> float:
     if j < 1:
         raise ValueError("iteration must be >= 1")
     f = 2.0 * math.log(j)
-    if variant.tag == "scaled":
+    if variant == "scaled":
         means = [total / t for total, t in zip(state.response_sums.tolist(), state.pulls.tolist()) if t > 0]
         f *= min(means) if means else 0.0
     return f
@@ -311,7 +311,7 @@ def reference_run_single(config, policy, seed):
         else:
             arm = optimal_sets[r - 1] if variant is None else select_superarm(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng, 1)[0]
-            record_outcome(state, arm, resp, pool, j)
+            record_outcome(state, arm, resp, pool)
         times[j - 1] = resp.max()
         lo = offsets[j - 1]
         members[lo : lo + r] = arm

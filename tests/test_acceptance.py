@@ -29,7 +29,7 @@ from banditsgd.harness import (
     run_single,
 )
 from banditsgd.latency import WorkerPool, expected_max
-from banditsgd.policies import PLAIN, BanditState, select_superarm_cmab, select_superarm_optimal
+from banditsgd.policies import BanditState, select_superarm_cmab, select_superarm_optimal
 from banditsgd.sgd import BoundParams, batch_gradient, convergence_bound, generate_problem, sample_batches
 from banditsgd.verify import empirical_mean_tail_rates, mc_max_mean
 
@@ -247,7 +247,7 @@ def test_c08_zero_radius_reduces_to_omniscient():
             # at iteration 2 the radius uses f(1) = 0, so LCBs equal the means;
             # the round step plays one iteration on a copy of the state
             step = BanditState(state.pulls.copy(), state.response_sums.copy(), state.suboptimal_pulls.copy(), 1)
-            chosen = select_superarm_cmab(step, PLAIN, pool, np.ones((1, r)), 2)[0]
+            chosen = select_superarm_cmab(step, "plain", pool, np.ones((1, r)))[0]
             np.testing.assert_array_equal(chosen, select_superarm_optimal(pool, r))
     report(8, "zero-radius policy equals the omniscient selection on 100 pools")
 

@@ -242,6 +242,23 @@ def test_bounds_computed_schedule_needs_sgd(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--eps", "nan", "error: epsilon must be finite and > 0, got nan"),
+        ("--eps", "inf", "error: epsilon must be finite and > 0, got inf"),
+        ("--regret", "nan", "error: regret must be finite, got nan"),
+    ],
+    ids=["eps-nan", "eps-inf", "regret-nan"],
+)
+def test_bounds_rejects_non_finite_values(tmp_path, capsys, flag, value, message):
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\nschedule = 5,10\n")
+    assert main(["bounds", "--config", cfg, "--rates", "1,2,4", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
+@pytest.mark.parametrize(
     "flag, value, kind", [("--eps", "abc", "float"), ("--j", "1.5", "int"), ("--rates", "1,x", "float")]
 )
 def test_bounds_list_flags_name_the_flag(tmp_path, capsys, flag, value, kind):

@@ -335,6 +335,18 @@ def test_run_single_matches_per_iteration_reference(shape, policy):
             assert got.tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("variant, other", [("plain", "scaled"), ("scaled", "plain")])
+def test_bare_cmab_runs_the_configured_variant(variant, other):
+    cfg = small_config(variant=variant, simulate_sgd=False)
+    for seed in (0, 3):
+        bare = run_single(cfg, "cmab", seed)
+        named, unnamed = run_single(cfg, f"cmab-{variant}", seed), run_single(cfg, f"cmab-{other}", seed)
+        for name in TRACE_ARRAYS:
+            assert getattr(bare, name).tobytes() == getattr(named, name).tobytes(), name
+        # the two variants choose differently here, so a swapped mapping would show
+        assert bare.members.tobytes() != unnamed.members.tobytes()
+
+
 def test_ksync_time_is_kth_smallest_of_full_vector():
     cfg = small_config()
     trace = run_single(cfg, "adaptive-ksync", 3)

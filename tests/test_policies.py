@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from banditsgd.harness import ExperimentConfig, run_single, stream_rng
 from banditsgd.latency import WorkerPool, expected_max
 from banditsgd.policies import (
-    PLAIN,
-    SCALED,
     BanditState,
     RoundSchedule,
     compute_schedule,
@@ -43,7 +41,7 @@ def select_one(state, variant, r, j, pool=None):
     """The round step's choice at iteration j: an L=1 block on a copy of ``state`` advanced to j-1."""
     copy = state_with(state.pulls.copy(), state.response_sums.copy(), iteration=j - 1)
     pool = WorkerPool(np.ones(state.n)) if pool is None else pool
-    return select_superarm_cmab(copy, variant, pool, np.ones((1, r)), j)[0]
+    return select_superarm_cmab(copy, variant, pool, np.ones((1, r)))[0]
 
 
 # ---------------------------------------------------------------- radius / lcb
@@ -51,56 +49,56 @@ def select_one(state, variant, r, j, pool=None):
 
 def test_radius_zero_at_first_iteration():
     st8 = state_with([4], [2.0])
-    assert confidence_radius(st8, PLAIN, 0, 1) == 0.0
+    assert confidence_radius(st8, "plain", 0, 1) == 0.0
 
 
 def test_radius_plain_value():
     st8 = state_with([4], [2.0])
-    assert confidence_radius(st8, PLAIN, 0, math.e) == pytest.approx(math.sqrt(2) + 1, rel=1e-12)
+    assert confidence_radius(st8, "plain", 0, math.e) == pytest.approx(math.sqrt(2) + 1, rel=1e-12)
 
 
 def test_radius_decreasing_in_pulls():
     values = [
-        confidence_radius(state_with([t], [0.5 * t]), PLAIN, 0, 10) for t in (1, 2, 5, 20, 100)
+        confidence_radius(state_with([t], [0.5 * t]), "plain", 0, 10) for t in (1, 2, 5, 20, 100)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_radius_unpulled_faults():
     with pytest.raises(ValueError):
-        confidence_radius(state_with([0], [0.0]), PLAIN, 0, 2)
+        confidence_radius(state_with([0], [0.0]), "plain", 0, 2)
 
 
 def test_scaled_variant_scale():
     st8 = state_with([2, 0, 4], [1.0, 0.0, 0.8])  # means 0.5, -, 0.2
-    assert exploration_scale(st8, SCALED, math.e) == pytest.approx(2.0 * 0.2)
-    assert exploration_scale(state_with([0, 0], [0.0, 0.0]), SCALED, 5) == 0.0
-    assert exploration_scale(st8, PLAIN, math.e) == pytest.approx(2.0)
+    assert exploration_scale(st8, "scaled", math.e) == pytest.approx(2.0 * 0.2)
+    assert exploration_scale(state_with([0, 0], [0.0, 0.0]), "scaled", 5) == 0.0
+    assert exploration_scale(st8, "plain", math.e) == pytest.approx(2.0)
 
 
 def test_lcb_unpulled_is_minus_infinity():
     st8 = state_with([0, 3], [0.0, 1.5])
-    assert lcb(st8, PLAIN, 0, 5) == -math.inf
+    assert lcb(st8, "plain", 0, 5) == -math.inf
 
 
 def test_lcb_zero_radius_leaves_mean():
     st8 = state_with([1], [0.4])
-    assert lcb(st8, PLAIN, 0, 2) == pytest.approx(0.4)
+    assert lcb(st8, "plain", 0, 2) == pytest.approx(0.4)
 
 
 def test_lcb_plain_value():
     # f(j-1) = 2 requires j-1 = e; radius = sqrt(2) + 1
     st8 = state_with([4], [2.0])
-    assert lcb(st8, PLAIN, 0, math.e + 1) == pytest.approx(0.5 - (math.sqrt(2) + 1), rel=1e-12)
+    assert lcb(st8, "plain", 0, math.e + 1) == pytest.approx(0.5 - (math.sqrt(2) + 1), rel=1e-12)
 
 
 def test_lcb_before_first_iteration_with_pulls_faults():
     with pytest.raises(ValueError):
-        lcb(state_with([2], [1.0]), PLAIN, 0, 1)
+        lcb(state_with([2], [1.0]), "plain", 0, 1)
     with pytest.raises(ValueError):
-        lcb_values(state_with([2], [1.0]), PLAIN, 1)
+        lcb_values(state_with([2], [1.0]), "plain", 1)
     with pytest.raises(ValueError):
-        select_one(state_with([2], [1.0]), PLAIN, 1, 1)
+        select_one(state_with([2], [1.0]), "plain", 1, 1)
 
 
 @given(
@@ -114,7 +112,7 @@ def test_lcb_scalar_matches_vectorized_and_below_mean(pulls, j, scaled):
     sums = rng.uniform(0.1, 2.0, len(pulls)) * np.maximum(pulls, 1)
     sums[np.array(pulls) == 0] = 0.0
     st8 = state_with(pulls, sums)
-    variant = SCALED if scaled else PLAIN
+    variant = "scaled" if scaled else "plain"
     vec = lcb_values(st8, variant, j)
     for i in range(len(pulls)):
         assert lcb(st8, variant, i, j) == pytest.approx(vec[i], rel=1e-12, abs=1e-12) or (
@@ -129,23 +127,23 @@ def test_lcb_scalar_matches_vectorized_and_below_mean(pulls, j, scaled):
 
 def test_select_all_unpulled_takes_lowest_indices():
     st8 = BanditState.zeros(6)
-    np.testing.assert_array_equal(select_one(st8, PLAIN, 3, 1), [0, 1, 2])
+    np.testing.assert_array_equal(select_one(st8, "plain", 3, 1), [0, 1, 2])
 
 
 def test_select_unpulled_worker_always_included():
     st8 = state_with([3, 0, 2], [0.3, 0.0, 0.1])
-    assert 1 in select_one(st8, PLAIN, 1, 7)
+    assert 1 in select_one(st8, "plain", 1, 7)
 
 
 def test_select_returns_r_distinct_members():
     st8 = state_with([5, 1, 2, 9], [2.0, 0.1, 0.4, 3.0])
-    arm = select_one(st8, PLAIN, 3, 4)
+    arm = select_one(st8, "plain", 3, 4)
     assert arm.size == 3 and np.unique(arm).size == 3
 
 
 def test_select_size_fault():
     with pytest.raises(ValueError):
-        select_one(BanditState.zeros(3), PLAIN, 4, 1)
+        select_one(BanditState.zeros(3), "plain", 4, 1)
     with pytest.raises(ValueError):
         select_superarm_optimal(WorkerPool([1.0, 2.0]), 3)
 
@@ -176,7 +174,7 @@ def test_seeded_truth_with_zero_radius_reduces_to_optimal():
         st8 = seeded_state(pool)
         for r in range(1, n + 1):
             np.testing.assert_array_equal(
-                select_one(st8, PLAIN, r, 2),  # f(1) = 0, radii vanish
+                select_one(st8, "plain", r, 2),  # f(1) = 0, radii vanish
                 select_superarm_optimal(pool, r),
             )
 
@@ -193,24 +191,26 @@ def test_round_step_matches_per_iteration_oracle(seed, scaled):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     pool = WorkerPool(1.0 / rng.choice([0.2, 0.4, 0.6, 0.8], size=n))
-    variant = SCALED if scaled else PLAIN
+    variant = "scaled" if scaled else "plain"
     start = random_state(rng, n, pulled_share=float(rng.choice([0.0, 0.5, 1.0])))
-    r = int(rng.integers(1, n + 1))
-    draws = rng.standard_exponential((int(rng.integers(1, 30)), r))
     oracle = state_with(start.pulls.copy(), start.response_sums.copy(), iteration=start.current_iteration)
-    j0 = start.current_iteration + 1
-    responses = draws.copy()
-    arms = select_superarm_cmab(start, variant, pool, responses, j0)
-    for i, j in enumerate(range(j0, j0 + draws.shape[0])):
-        arm = select_superarm(oracle, variant, r, j)
-        np.testing.assert_array_equal(arms[i], arm)
-        row = draws[i] * pool.means[arm]
-        assert responses[i].tobytes() == row.tobytes()
-        record_outcome(oracle, arm, row, pool, j)
-    assert start.pulls.dtype == oracle.pulls.dtype
-    for name in ("pulls", "response_sums", "suboptimal_pulls"):
-        assert getattr(start, name).tobytes() == getattr(oracle, name).tobytes(), name
-    assert start.current_iteration == oracle.current_iteration
+    # two consecutive calls, each with its own r: the state carries the iteration from one to the next
+    for _ in range(2):
+        r = int(rng.integers(1, n + 1))
+        draws = rng.standard_exponential((int(rng.integers(1, 30)), r))
+        j0 = start.current_iteration + 1
+        responses = draws.copy()
+        arms = select_superarm_cmab(start, variant, pool, responses)
+        for i, j in enumerate(range(j0, j0 + draws.shape[0])):
+            arm = select_superarm(oracle, variant, r, j)
+            np.testing.assert_array_equal(arms[i], arm)
+            row = draws[i] * pool.means[arm]
+            assert responses[i].tobytes() == row.tobytes()
+            record_outcome(oracle, arm, row, pool)
+        assert start.pulls.dtype == oracle.pulls.dtype
+        for name in ("pulls", "response_sums", "suboptimal_pulls"):
+            assert getattr(start, name).tobytes() == getattr(oracle, name).tobytes(), name
+        assert start.current_iteration == oracle.current_iteration == j0 + draws.shape[0] - 1
 
 
 def test_round_step_faults_leave_state_untouched():
@@ -218,17 +218,16 @@ def test_round_step_faults_leave_state_untouched():
     st8 = state_with([2, 1, 3], [0.9, 0.4, 1.2], iteration=6)
     before = (st8.pulls.copy(), st8.response_sums.copy(), st8.suboptimal_pulls.copy())
     cases = [
-        (np.ones((2, 4)), 7),  # r = 4 > n
-        (np.ones((2, 0)), 7),  # r = 0
-        (np.ones(3), 7),  # 1-D
-        (np.ones((2, 2, 1)), 7),  # 3-D
-        (np.ones((2, 2)), 6),  # repeats iteration 6
-        (np.ones((2, 2)), 9),  # skips iteration 7
+        (np.ones((2, 4)), "plain"),  # r = 4 > n
+        (np.ones((2, 0)), "plain"),  # r = 0
+        (np.ones(3), "plain"),  # 1-D
+        (np.ones((2, 2, 1)), "plain"),  # 3-D
+        (np.ones((2, 2)), "Plain"),  # not a radius variant
     ]
-    for draws, j in cases:
+    for draws, variant in cases:
         kept = draws.copy()
         with pytest.raises(ValueError):
-            select_superarm_cmab(st8, PLAIN, pool, draws, j)
+            select_superarm_cmab(st8, variant, pool, draws)
         assert draws.tobytes() == kept.tobytes()
         for got, want in zip((st8.pulls, st8.response_sums, st8.suboptimal_pulls), before):
             assert got.tobytes() == want.tobytes()
@@ -241,7 +240,7 @@ def test_round_step_faults_leave_state_untouched():
 def test_record_outcome_optimal_leaves_counters():
     pool = WorkerPool([4.0, 2.0, 1.0])
     st8 = BanditState.zeros(3)
-    record_outcome(st8, [0, 1], [0.3, 0.6], pool, 1)
+    record_outcome(st8, [0, 1], [0.3, 0.6], pool)
     assert st8.suboptimal_pulls.sum() == 0
     np.testing.assert_array_equal(st8.pulls, [1, 1, 0])
     np.testing.assert_allclose(st8.response_sums, [0.3, 0.6, 0.0])
@@ -251,10 +250,10 @@ def test_record_outcome_optimal_leaves_counters():
 def test_record_outcome_suboptimal_increments_least_pulled():
     pool = WorkerPool([4.0, 2.0, 1.0])  # optimal pair is {0, 1}
     st8 = state_with([3, 2, 2], [0.9, 1.0, 2.0], iteration=7)
-    record_outcome(st8, [0, 2], [0.2, 1.1], pool, 8)
+    record_outcome(st8, [0, 2], [0.2, 1.1], pool)
     np.testing.assert_array_equal(st8.suboptimal_pulls, [0, 0, 1])  # worker 2 least pulled among {0, 2}
     st9 = state_with([2, 2, 2], [0.9, 1.0, 2.0], iteration=7)
-    record_outcome(st9, [0, 2], [0.2, 1.1], pool, 8)
+    record_outcome(st9, [0, 2], [0.2, 1.1], pool)
     np.testing.assert_array_equal(st9.suboptimal_pulls, [1, 0, 0])  # tie broken by lowest index
 
 
@@ -262,9 +261,7 @@ def test_record_outcome_faults():
     pool = WorkerPool([1.0, 2.0])
     st8 = BanditState.zeros(2)
     with pytest.raises(ValueError):
-        record_outcome(st8, [0, 1], [0.5], pool, 1)
-    with pytest.raises(ValueError):
-        record_outcome(st8, [0], [0.5], pool, 5)
+        record_outcome(st8, [0, 1], [0.5], pool)
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -275,10 +272,10 @@ def test_bookkeeping_invariants_random_walk(seed):
     pool = WorkerPool(rng.uniform(0.5, 5.0, n))
     st8 = BanditState.zeros(n)
     employments = 0
-    for j in range(1, 40):
+    for _ in range(39):
         r = int(rng.integers(1, n + 1))
         arm = np.sort(rng.choice(n, size=r, replace=False))
-        record_outcome(st8, arm, rng.exponential(pool.means[arm]), pool, j)
+        record_outcome(st8, arm, rng.exponential(pool.means[arm]), pool)
         employments += r
     assert st8.pulls.sum() == employments
     assert np.all(st8.suboptimal_pulls <= st8.pulls)
@@ -297,7 +294,7 @@ def test_suboptimality_decider_exact_vs_sorted_means():
         best = select_superarm_optimal(pool, r)
         truth = expected_max(pool.rates[arm]) > expected_max(pool.rates[best]) + 1e-12
         assert superarm_is_suboptimal(pool, arm) == truth
-        st8 = record_outcome(BanditState.zeros(n), arm, pool.means[arm], pool, 1)
+        st8 = record_outcome(BanditState.zeros(n), arm, pool.means[arm], pool)
         assert st8.suboptimal_pulls.sum() == truth
 
 
@@ -311,9 +308,9 @@ def test_record_outcome_block_equals_single_calls(arm):
         sums = rng.uniform(0.1, 1.0, pool.n) * pulls
         block = rng.exponential(pool.means[arm], size=(500, len(arm)))
         single = state_with(pulls.copy(), sums.copy(), iteration=9)
-        for i, row in enumerate(block):
-            record_outcome(single, arm, row, pool, 10 + i)
-        batched = record_outcome(state_with(pulls.copy(), sums.copy(), iteration=9), arm, block, pool, 10)
+        for row in block:
+            record_outcome(single, arm, row, pool)
+        batched = record_outcome(state_with(pulls.copy(), sums.copy(), iteration=9), arm, block, pool)
         np.testing.assert_array_equal(batched.pulls, single.pulls)
         assert batched.response_sums.tobytes() == single.response_sums.tobytes()
         np.testing.assert_array_equal(batched.suboptimal_pulls, single.suboptimal_pulls)
@@ -325,7 +322,7 @@ def test_record_outcome_block_shape_faults():
     pool = WorkerPool([1.0, 2.0, 4.0])
     for bad in (np.ones((4, 3)), np.ones((4, 2, 1)), np.ones((0, 2))):
         with pytest.raises(ValueError, match="do not fit"):
-            record_outcome(BanditState.zeros(3), [0, 1], bad, pool, 1)
+            record_outcome(BanditState.zeros(3), [0, 1], bad, pool)
 
 
 # ---------------------------------------------------------------- k-sync draw

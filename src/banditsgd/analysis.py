@@ -95,7 +95,6 @@ class RunTrace:
     members: np.ndarray
     member_responses: np.ndarray
     pulls: np.ndarray
-    response_sums: np.ndarray
     suboptimal_pulls: np.ndarray
 
     def __len__(self) -> int:
@@ -234,6 +233,7 @@ def completion_time_bound(
     from Chebyshev's inequality on the round's summed response times. Factors
     that go negative (rounds too short for the variance) are clamped to zero.
     ``mu_opt`` and ``var_opt`` are read from ``gaps``, computed when not given.
+    A run ends at the schedule's horizon, so a later ``j`` is rejected.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -241,6 +241,8 @@ def completion_time_bound(
         raise ValueError(f"regret must be finite, got {regret}")
     if j < 1:
         raise ValueError("iteration must be >= 1")
+    if j > schedule.horizon:
+        raise ValueError(f"iteration {j} is past the schedule's horizon {schedule.horizon}")
     gaps = _gaps_for(pool, schedule, gaps)
     time_bound = float(regret)
     prob = 1.0

@@ -169,9 +169,6 @@ class ExperimentConfig:
             )
         return grid
 
-    def replace(self, **changes) -> "ExperimentConfig":
-        return dataclasses.replace(self, **changes)
-
     def as_dict(self) -> dict:
         """Field values with tuples as lists, as serialized to JSON."""
         return {k: (list(v) if isinstance(v, tuple) else v) for k, v in dataclasses.asdict(self).items()}
@@ -227,24 +224,6 @@ def _coerce(value, hint):
             return False
         raise ValueError(f"expects a boolean, got {text!r}")
     return hint(text)
-
-
-def benchmark_config(**overrides) -> ExperimentConfig:
-    """Desk-scale variant of the 50-worker benchmark.
-
-    Means are drawn without replacement from a step-0.01 refinement of the
-    0.1..0.9 grid (50 distinct means cannot come from the 9-value grid), and
-    the switching points are fixed for comparability: rounds 1-19 run 1000
-    iterations each and the final round 9000, a budget of 370 000
-    employments. The long final round is what pins down the fastest-worker
-    ranking; a uniform split of the same budget identifies noticeably worse.
-    """
-    base = ExperimentConfig(
-        mean_step=0.01,
-        distinct_means=True,
-        schedule=",".join([str(1000 * r) for r in range(1, 20)] + ["28000"]),
-    )
-    return base.replace(**overrides) if overrides else base
 
 
 def build_pool(config: ExperimentConfig, seed: int) -> WorkerPool:
@@ -388,7 +367,6 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         members=members,
         member_responses=member_resp,
         pulls=state.pulls,
-        response_sums=state.response_sums,
         suboptimal_pulls=state.suboptimal_pulls,
     )
 

@@ -298,7 +298,6 @@ def reference_run_single(config, policy, seed):
     times = np.zeros(horizon)
     employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
     state = BanditState.zeros(n)
-    ksync_sums = np.zeros(n, dtype=np.float64)
     optimal_sets = [select_superarm_optimal(pool, r) for r in range(1, schedule.b + 1)]
 
     for j in range(1, horizon + 1):
@@ -307,7 +306,6 @@ def reference_run_single(config, policy, seed):
             draws = response_vector(pool, latency_rng, 1)[0]
             arm = np.sort(np.argsort(draws, kind="stable")[:r])
             resp = draws[arm]
-            ksync_sums += draws
         else:
             arm = optimal_sets[r - 1] if variant is None else select_superarm(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng, 1)[0]
@@ -318,9 +316,9 @@ def reference_run_single(config, policy, seed):
         member_resp[lo : lo + r] = resp
 
     if is_ksync:
-        pulls, sums, subopt = np.full(n, horizon, dtype=np.int64), ksync_sums, np.zeros(n, dtype=np.int64)
+        pulls, subopt = np.full(n, horizon, dtype=np.int64), np.zeros(n, dtype=np.int64)
     else:
-        pulls, sums, subopt = state.pulls, state.response_sums, state.suboptimal_pulls
+        pulls, subopt = state.pulls, state.suboptimal_pulls
     return RunTrace(
         policy=policy,
         seed=int(seed),
@@ -334,7 +332,6 @@ def reference_run_single(config, policy, seed):
         members=members,
         member_responses=member_resp,
         pulls=pulls,
-        response_sums=sums,
         suboptimal_pulls=subopt,
     )
 

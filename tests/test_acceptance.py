@@ -8,6 +8,7 @@ share its SGD trajectory, so the whole module completes in a few minutes.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -22,7 +23,6 @@ from banditsgd.analysis import (
 from banditsgd.harness import (
     ExperimentConfig,
     SeedSetup,
-    benchmark_config,
     build_pool,
     error_at_employments,
     identify_fastest,
@@ -35,6 +35,8 @@ from banditsgd.verify import empirical_mean_tail_rates, mc_max_mean
 
 from _oracles import brute_expected_max, central_difference_gradient, superarm_at
 
+BENCHMARK_CFG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "benchmark.cfg")
+
 
 def report(num: int, name: str) -> None:
     print(f"\nACCEPTANCE {num} ({name}): PASS")
@@ -45,7 +47,7 @@ def report(num: int, name: str) -> None:
 
 @pytest.fixture(scope="module")
 def va_config():
-    return benchmark_config()
+    return ExperimentConfig.from_file(BENCHMARK_CFG)
 
 
 @pytest.fixture(scope="module")

@@ -313,6 +313,8 @@ def test_completion_time_faults():
         completion_time_bound(pool, RoundSchedule((1,)), 1, 0.0, 0.0)
     with pytest.raises(ValueError):
         completion_time_bound(pool, RoundSchedule((1,)), 0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="iteration 11 is past the schedule's horizon 10"):
+        completion_time_bound(pool, RoundSchedule((10,)), 11, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------- tails

@@ -3,8 +3,6 @@
 import csv
 import json
 import os
-import subprocess
-import sys
 import warnings
 
 import pytest
@@ -193,19 +191,10 @@ def test_config_parse_error_names_the_key(tmp_path, capsys):
     assert capsys.readouterr().err == "error: config key 'n': invalid literal for int() with base 10: '1e3'\n"
 
 
-def test_run_figures_quick_script(tmp_path):
-    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (os.path.join(root, "src"), env.get("PYTHONPATH"))))
-    script = os.path.join(root, "scripts", "run_figures.py")
-    proc = subprocess.run(
-        [sys.executable, script, "--quick", "--seeds", "0", "--out", str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+def test_compare_quick_config(tmp_path, capsys):
+    quick = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "quick.cfg")
+    assert main(["compare", "--config", quick, "--seeds", "0", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.endswith(f"tables -> {tmp_path}\n")
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["config"]["seeds"] == [0]
 
@@ -267,6 +256,17 @@ def test_bounds_list_flags_name_the_flag(tmp_path, capsys, flag, value, kind):
         main(["bounds", "--config", cfg, flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: invalid comma-separated {kind} value: '{value}'" in capsys.readouterr().err
+
+
+def test_bounds_reject_iterations_past_the_horizon(tmp_path, capsys):
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\n")
+    out = tmp_path / "bounds.json"
+    argv = ["bounds", "--config", cfg, "--rates", "1,2,4", "--schedule", "5,10", "--j", "11", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: iteration 11 is past the schedule's horizon 10\n"
+    assert not out.exists()
 
 
 def test_log_level_surfaces_library_warnings(tmp_path, capsys):

@@ -16,7 +16,6 @@ from banditsgd.harness import (
     TRACE_HEADER,
     ExperimentConfig,
     SeedSetup,
-    benchmark_config,
     build_pool,
     build_problem,
     error_at_employments,
@@ -28,7 +27,7 @@ from banditsgd.harness import (
     write_comparison_tables,
     write_trace_csv,
 )
-from banditsgd.policies import RoundSchedule, compute_schedule
+from banditsgd.policies import BanditState, RoundSchedule, compute_schedule, record_outcome
 from banditsgd.sgd import sample_batches
 
 from _garbage import cyclic_package_garbage
@@ -43,6 +42,7 @@ from _oracles import (
 )
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+BENCHMARK_CFG = os.path.join(CONFIG_DIR, "benchmark.cfg")
 
 
 def small_config(**kw):
@@ -117,12 +117,16 @@ def test_config_validation():
     assert ExperimentConfig(mean_min=0.2, mean_max=0.8, mean_step=0.05).mean_grid().size == 13
 
 
+@pytest.mark.parametrize("name", sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))))
+def test_config_file_parses(name):
+    # configs/ is the one place an experiment shape is written
+    ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name))
+
+
 def test_committed_configs_load():
     # the benchmark's config templates load on their own, before it appends the seed lines
-    paths = glob.glob(os.path.join(CONFIG_DIR, "*.cfg")) + glob.glob(
-        os.path.join(CONFIG_DIR, os.pardir, "perfbench", "configs", "*.cfg")
-    )
-    assert len(paths) >= 6
+    paths = glob.glob(os.path.join(CONFIG_DIR, os.pardir, "perfbench", "configs", "*.cfg"))
+    assert len(paths) >= 4
     for path in paths:
         ExperimentConfig.from_file(path)
 
@@ -226,19 +230,14 @@ def test_config_file_unknown_key(tmp_path):
         ExperimentConfig.from_file(str(path))
 
 
-def test_benchmark_config_shape():
-    cfg = benchmark_config()
+def test_benchmark_cfg_shape():
+    cfg = ExperimentConfig.from_file(BENCHMARK_CFG)
     assert cfg.n == 50 and cfg.b == 20
     points = cfg.switching_points()
     assert len(points) == 20 and points[-1] == 28_000
     assert cfg.distinct_means
     sched = RoundSchedule(points)
     assert sched.budget == sum(r * 1000 for r in range(1, 20)) + 20 * 9000
-
-
-def test_benchmark_file_matches_benchmark_config():
-    from_file = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "benchmark.cfg"))
-    assert from_file.replace(out_dir=None) == benchmark_config()
 
 
 # ---------------------------------------------------------------- streams / pools
@@ -324,7 +323,7 @@ TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
-    assert len(TRACE_ARRAYS) == 10
+    assert len(TRACE_ARRAYS) == 9
     cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False, variant="scaled")
     for seed in (0, 5):
         trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
@@ -360,16 +359,19 @@ def test_ksync_time_is_kth_smallest_of_full_vector():
 
 
 def test_cmab_member_responses_accumulate_into_sums():
+    # the trace is the record: booking its members and responses one iteration
+    # at a time gives the run's counters, with each worker's responses summed
     cfg = small_config()
     trace = run_single(cfg, "cmab-plain", 2)
+    state = BanditState.zeros(cfg.n)
     sums = np.zeros(cfg.n)
-    counts = np.zeros(cfg.n, dtype=int)
     for j in range(1, len(trace) + 1):
-        arm = superarm_at(trace, j)
-        sums[arm] += responses_at(trace, j)
-        counts[arm] += 1
-    np.testing.assert_allclose(sums, trace.response_sums)
-    np.testing.assert_array_equal(counts, trace.pulls)
+        arm, resp = superarm_at(trace, j), responses_at(trace, j)
+        record_outcome(state, arm, resp, trace.pool)
+        sums[arm] += resp
+    np.testing.assert_allclose(sums, state.response_sums)
+    np.testing.assert_array_equal(state.pulls, trace.pulls)
+    np.testing.assert_array_equal(state.suboptimal_pulls, trace.suboptimal_pulls)
 
 
 def test_bandit_only_mode():
@@ -464,7 +466,7 @@ def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
     cfg = small_config(out_dir=str(tmp_path / "columns"), pool_seed=5, seeds=(0, 1))
     result = run_comparison(cfg)
     monkeypatch.setattr(harness, "_write_table", write_table_by_cell)
-    write_comparison_tables(result, cfg.replace(out_dir=str(tmp_path / "cells")))
+    write_comparison_tables(result, dataclasses.replace(cfg, out_dir=str(tmp_path / "cells")))
     names = sorted(os.listdir(tmp_path / "columns"))
     assert names == sorted(os.listdir(tmp_path / "cells"))
     assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1  # traces, curves, profiles, regret
@@ -475,7 +477,7 @@ def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
 def test_hot_paths_leave_no_package_cycles(tmp_path):
     # a cycle through the package would keep its arrays until the cyclic
     # collector runs; every hot path must free what it made when it returns
-    config = benchmark_config(simulate_sgd=False, pool_seed=0)
+    config = ExperimentConfig.from_file(BENCHMARK_CFG, simulate_sgd=False, pool_seed=0)
     pool, schedule = build_pool(config, 0), resolve_schedule(config)
     comparison = ExperimentConfig(
         n=16,

@@ -1,6 +1,7 @@
 """Latency model: sampling contracts and exact order-statistic moments."""
 
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from banditsgd.harness import benchmark_config, build_pool
+from banditsgd.harness import ExperimentConfig, build_pool
 from banditsgd.latency import (
     WorkerPool,
     expected_max,
@@ -29,6 +30,8 @@ from _oracles import (
     order_statistic_check,
     pairwise_sum,
 )
+
+BENCHMARK_CFG = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs", "benchmark.cfg")
 
 rate_lists = st.lists(st.floats(0.05, 50.0), min_size=1, max_size=8)
 
@@ -247,7 +250,7 @@ def _grid_rate_lists():
     yield [0.7] * 17
     yield [1.0, 1.0, 2.0, 2.0] * 5
     for seed in (0, 5):
-        pool = build_pool(benchmark_config(pool_seed=seed), seed)
+        pool = build_pool(ExperimentConfig.from_file(BENCHMARK_CFG, pool_seed=seed), seed)
         for r in range(1, 21):
             yield pool.rates[np.sort(pool.speed_order[:r])]
             yield pool.rates[np.sort(pool.speed_order[pool.n - r :])]

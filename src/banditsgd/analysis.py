@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latency import WorkerPool, expected_max, max_moments
-from .policies import RoundSchedule, select_superarm_optimal
+from .policies import RoundSchedule, select_superarm_optimal, suboptimal_rows
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +111,22 @@ class RunTrace:
     @functools.cached_property
     def suboptimal_count(self) -> int:
         return int(self.suboptimal_pulls.sum())
+
+    @functools.cached_property
+    def suboptimal_flags(self) -> np.ndarray:
+        """Per iteration, whether the played superarm was suboptimal (``policies.suboptimal_rows``, a round at a time).
+
+        Their sum is ``suboptimal_count`` for the bandit and omniscient
+        policies. A k-sync run differs by design: it books all n workers and
+        charges no pull, while its flags judge the r workers it used.
+        """
+        flags = np.empty(len(self), dtype=bool)
+        start = 0
+        for r, stop in enumerate(self.schedule.switching_points, start=1):
+            lo, hi = self.member_offsets[start], self.member_offsets[stop]
+            flags[start:stop] = suboptimal_rows(self.pool, self.members[lo:hi].reshape(stop - start, r))
+            start = stop
+        return flags
 
     def final_round_counts(self) -> np.ndarray:
         """Per-worker employment counts within the last round of the schedule."""

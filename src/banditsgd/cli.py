@@ -71,8 +71,13 @@ def _cmd_bounds(args) -> int:
     problem = harness.build_problem(config, config.seeds[0]) if computed else None
     schedule = harness.resolve_schedule(config, problem)
 
+    js = list(schedule.switching_points) if args.j is None else args.j
+    for j in js:  # checked before any output, whatever --eps holds
+        if j > schedule.horizon:
+            raise ValueError(f"iteration {j} is past the schedule's horizon {schedule.horizon}")
+    if not js or not args.eps:
+        raise ValueError("--j and --eps each need at least one value")
     gaps = analysis.compute_gaps(pool, schedule)
-    js = args.j or list(schedule.switching_points)
     payload = {
         "rates": pool.rates.tolist(),
         "switching_points": list(schedule.switching_points),

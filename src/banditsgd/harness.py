@@ -266,7 +266,8 @@ class SeedSetup:
     seed's learning trajectory. It is computed on first use and then handed,
     read-only, to every policy's trace: the SGD step reads only the batch
     stream and each iteration's ``r``, never the chosen workers, so it is the
-    same for every policy.
+    same for every policy. A latency-only run's errors are a read-only NaN
+    broadcast, which holds one value.
     """
 
     seed: int
@@ -291,9 +292,8 @@ class SeedSetup:
     def model_errors(self) -> np.ndarray:
         """Model error per iteration (NaN when the run is latency-only)."""
         if self.problem is None:
-            errors = np.full(self.rounds.size, np.nan)
-        else:
-            errors = sgd.run_trajectory(self.problem, self.rounds, stream_rng(self.seed, "batch-sampling"))
+            return np.broadcast_to(np.nan, self.rounds.shape)
+        errors = sgd.run_trajectory(self.problem, self.rounds, stream_rng(self.seed, "batch-sampling"))
         errors.flags.writeable = False
         return errors
 
@@ -316,6 +316,10 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     standard exponentials and hands them to one ``select_superarm_cmab`` call,
     which steps the round an iteration at a time, scaling each row by the
     chosen members' means as it picks them.
+
+    The trace shares the setup's read-only arrays rather than copying them:
+    ``rounds``, ``member_offsets`` and ``model_errors``, and ``employments``,
+    which is ``rounds`` itself, or for k-sync a read-only broadcast of ``n``.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -332,7 +336,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
 
     members = np.empty(offsets[-1], dtype=np.int32)
     member_resp = np.empty(offsets[-1], dtype=np.float64)
-    employ = np.full(schedule.horizon, n, dtype=np.int64) if is_ksync else rounds.copy()
+    employ = np.broadcast_to(np.int64(n), rounds.shape) if is_ksync else rounds
     state = BanditState.zeros(n)
 
     start = 0
@@ -418,9 +422,10 @@ def identify_fastest(traces) -> IdentificationReport:
         b = trace.schedule.b
         counts = trace.final_round_counts()
         chosen = np.sort(np.argsort(-counts, kind="stable")[:b])
-        truth = np.sort(trace.pool.speed_order[:b])
+        truth = np.zeros(counts.size, dtype=bool)
+        truth[trace.pool.speed_order[:b]] = True
         identified.append(chosen)
-        accuracies.append(np.intersect1d(chosen, truth).size / b)
+        accuracies.append(np.count_nonzero(truth[chosen]) / b)
     return IdentificationReport(identified, np.asarray(accuracies))
 
 

@@ -28,9 +28,11 @@ class BanditState:
 
     ``pulls[i]`` counts employments of worker i, ``response_sums[i]`` their
     summed observed response times, and ``suboptimal_pulls[i]`` the
-    bookkeeping counter that is incremented for exactly one member (the least
-    pulled) whenever a suboptimal superarm is chosen, so its total equals the
-    number of suboptimal superarm pulls.
+    bookkeeping counter that is incremented for exactly one member (the one
+    least pulled before that iteration) whenever a suboptimal superarm is
+    chosen, so its total equals the number of suboptimal superarm pulls. The
+    bandit's round step books these charges once per round, from the pulls at
+    the round's start.
     """
 
     pulls: np.ndarray
@@ -53,26 +55,49 @@ class BanditState:
         return int(self.pulls.size)
 
 
-def _suboptimality_bar(pool: WorkerPool, r: int) -> np.ndarray:
-    """The pool's r smallest means plus the tolerance: a superarm of r members
-    is suboptimal when some sorted member mean exceeds its entry."""
-    return pool.sorted_means[:r] + SUBOPTIMALITY_TOL
+def suboptimal_rows(pool: WorkerPool, arms: np.ndarray) -> np.ndarray:
+    """Which rows of an ``(L, r)`` block of superarms are suboptimal: one bool per row.
 
-
-def _charge_if_suboptimal(suboptimal_pulls, pulls, arm, member_means, bar, iterations: int) -> None:
-    """Charge ``iterations`` suboptimal pulls to the least-pulled member of ``arm`` when it is suboptimal.
-
-    ``member_means`` are the members' means (sorted here, in place) and
-    ``bar`` is ``_suboptimality_bar``. Comparing sorted means decides the
-    expected-max comparison: the expected max strictly increases when any
-    member's mean strictly increases, and the optimal set holds the r
-    smallest means, so a mean multiset mismatch forces a strictly larger
-    expected max. ``pulls`` are the counts as of before the update;
-    ``argmin`` takes the first, i.e. lowest-index, least-pulled member.
+    A row is suboptimal when some of its sorted member means exceeds the
+    pool's matching entry of ``sorted_means[:r]`` by more than
+    ``SUBOPTIMALITY_TOL``. Comparing sorted means decides the expected-max
+    comparison: the expected max strictly increases when any member's mean
+    strictly increases, and the optimal set holds the r smallest means, so a
+    mean multiset mismatch forces a strictly larger expected max.
     """
-    member_means.sort()
-    if np.count_nonzero(member_means > bar):
-        suboptimal_pulls[arm[pulls[arm].argmin()]] += iterations
+    member_means = pool.means[arms]
+    member_means.sort(axis=1)
+    return (member_means > pool.sorted_means[: arms.shape[1]] + SUBOPTIMALITY_TOL).any(axis=1)
+
+
+def _charge_suboptimal(suboptimal_pulls: np.ndarray, pulls: np.ndarray, arms: np.ndarray, pool: WorkerPool) -> None:
+    """Charge each suboptimal row of an ``(L, r)`` block to its member with the fewest pulls before that row.
+
+    ``pulls`` are the counts before the block's first row; row ``i`` plays
+    after rows ``0 .. i-1``, and a member appears at most once per row, so a
+    member's pulls before row ``i`` are ``pulls`` plus its rank among the
+    block's earlier copies of the same worker: a stable sort of the flattened
+    block groups the copies in row order. Ties go to the lowest index (the
+    members of a row ascend and ``argmin`` takes the first). Temporaries are
+    O(L r), freed as soon as they are spent; nothing of shape ``(L, n)`` is
+    built.
+    """
+    rows = np.flatnonzero(suboptimal_rows(pool, arms))
+    if rows.size == 0:
+        return
+    flat = arms[: rows[-1] + 1].ravel()
+    order = flat.argsort(kind="stable")
+    # each member's place in that sort, in the smallest signed type that holds it
+    position = np.empty(flat.size, dtype=np.min_scalar_type(-flat.size))
+    position[order] = np.arange(flat.size, dtype=position.dtype)
+    del order
+    copies = np.bincount(flat, minlength=pulls.size)
+    # a worker's copies start where the smaller workers' copies end
+    before = (pulls - (np.cumsum(copies) - copies))[flat]
+    before += position
+    del position
+    least = arms[rows, before.reshape(-1, arms.shape[1]).argmin(axis=1)[rows]]
+    suboptimal_pulls += np.bincount(least, minlength=suboptimal_pulls.size)
 
 
 def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, draws: np.ndarray) -> np.ndarray:
@@ -83,8 +108,11 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
     For each iteration in turn this picks the ``r`` workers with the lowest
     LCBs on the counters so far (ties to the lowest index; the members of a
     row ascend), scales that row of ``draws`` in place by the members' mean
-    response times, so the row becomes the observed responses, and folds the
-    row into ``state`` as ``record_outcome`` would.
+    response times, so the row becomes the observed responses, and adds the
+    row to the state's pulls and response sums. The suboptimal charges are
+    booked once, after the round's last iteration, with the rule
+    ``record_outcome`` applies to each of its iterations (``suboptimal_rows``,
+    then the member with the fewest pulls before that iteration).
 
     An arm's LCB at iteration ``j`` is its empirical mean minus the radius
     ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``; unpulled arms score
@@ -112,8 +140,9 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
 
     scaled = variant == "scaled"
     counts = state.pulls.astype(np.float64)
-    sums, subopt, bar = state.response_sums, state.suboptimal_pulls, _suboptimality_bar(pool, r)
-    radius, lcb = np.empty(n), np.empty(n)
+    sums, means = state.response_sums, pool.means
+    coef, terms, lcb = np.empty((2, 1)), np.empty((2, n)), np.empty(n)
+    radius, linear = terms  # row views, made once
     arms = np.empty((iterations, r), dtype=np.int64)
     # reductions are slow on small arrays: count_nonzero and argmin stand in for all() and min()
     pulled = np.count_nonzero(counts)
@@ -130,9 +159,11 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
                 if unpulled is not None:
                     lcb[unpulled] = np.inf  # the smallest pulled mean skips them
                 f *= float(lcb[lcb.argmin()])
-            np.divide(4.0 * f, t, out=radius)
+            coef[0, 0] = 4.0 * f
+            coef[1, 0] = 2.0 * f
+            np.divide(coef, t, out=terms)  # both quotients of the radius sqrt(4 f / t) + 2 f / t at once
             np.sqrt(radius, out=radius)
-            radius += np.divide(2.0 * f, t, out=lcb)
+            radius += linear
             np.divide(sums, t, out=lcb)
             lcb -= radius
             if unpulled is not None:
@@ -140,13 +171,13 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
         arm = arms[i]
         arm[:] = lcb.argsort(kind="stable")[:r]
         arm.sort()
-        row, member_means = draws[i], pool.means[arm]
-        row *= member_means
-        _charge_if_suboptimal(subopt, counts, arm, member_means, bar, 1)
+        row = draws[i]
+        row *= means[arm]
         counts[arm] += 1.0
         sums[arm] += row
         if pulled < n:
             pulled = np.count_nonzero(counts)
+    _charge_suboptimal(state.suboptimal_pulls, state.pulls, arms, pool)
     state.pulls[:] = counts
     state.current_iteration += iterations
     return arms
@@ -169,9 +200,10 @@ def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool) ->
     calls: response sums are accumulated row after row, and the state
     advances by ``L`` iterations.
 
-    When the chosen superarm is suboptimal, the suboptimal-pull counter of its
-    least-pulled member (lowest index on ties, pulls as of before this update)
-    is incremented, once per iteration (see ``_charge_if_suboptimal``).
+    When the chosen superarm is suboptimal (``suboptimal_rows`` on it as a
+    one-row block), the suboptimal-pull counter of its least-pulled member
+    (lowest index on ties, pulls as of before this update) is incremented,
+    once per iteration.
     """
     arm = pool.validate_superarm(superarm)
     block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
@@ -179,8 +211,8 @@ def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool) ->
         raise ValueError(f"responses of shape {np.shape(responses)} do not fit a superarm of size {arm.size}")
 
     iterations = block.shape[0]
-    bar = _suboptimality_bar(pool, arm.size)
-    _charge_if_suboptimal(state.suboptimal_pulls, state.pulls, arm, pool.means[arm], bar, iterations)
+    if suboptimal_rows(pool, arm[None])[0]:
+        state.suboptimal_pulls[arm[state.pulls[arm].argmin()]] += iterations
     state.pulls[arm] += iterations
     # cumsum adds row after row, as single calls would; a pairwise sum would change bits
     state.response_sums[arm] = np.cumsum(np.vstack([state.response_sums[arm], block]), axis=0)[-1]

@@ -247,6 +247,23 @@ def superarm_is_suboptimal(pool, superarm, *, tol: float = SUBOPTIMALITY_TOL) ->
     return bool(np.any(chosen > np.sort(means)[: chosen.size] + tol))
 
 
+def book_iteration(state, pool, superarm, responses) -> None:
+    """One iteration's bookkeeping, one member at a time (in place).
+
+    A suboptimal superarm (``superarm_is_suboptimal``) charges one pull to
+    its member with the fewest pulls before this update, the lowest index on
+    ties; then each member's pull count and response sum take its response.
+    """
+    arm = [int(w) for w in superarm]
+    if superarm_is_suboptimal(pool, arm):
+        least = min(arm, key=lambda w: (int(state.pulls[w]), w))
+        state.suboptimal_pulls[least] += 1
+    for worker, value in zip(arm, np.asarray(responses, dtype=np.float64).tolist()):
+        state.pulls[worker] += 1
+        state.response_sums[worker] += value
+    state.current_iteration += 1
+
+
 def kth_order_response(rates, k, rng) -> float:
     """One draw per worker, in index order, and its k-th smallest value (k >= 1)."""
     draws = rng.exponential(1.0 / np.asarray(rates, dtype=np.float64))
@@ -275,14 +292,14 @@ def reference_run_single(config, policy, seed):
     reaches that iteration: a one-row ``member_responses`` block of the chosen
     superarm for the bandit and omniscient policies, a one-row
     ``response_vector`` block for k-sync. The bandit picks with
-    ``select_superarm`` on the ``lcb_values`` vector and books with the
-    package's ``record_outcome``. The returned trace carries the same arrays
-    as the package's run.
+    ``select_superarm`` on the ``lcb_values`` vector; the bandit and omniscient
+    policies book with ``book_iteration``. The returned trace carries the same
+    arrays as the package's run.
     """
     from banditsgd.analysis import RunTrace
     from banditsgd.harness import SeedSetup, policy_variant, stream_rng
     from banditsgd.latency import member_responses, response_vector
-    from banditsgd.policies import BanditState, record_outcome, select_superarm_optimal
+    from banditsgd.policies import BanditState, select_superarm_optimal
 
     setup = SeedSetup.build(config, seed)
     pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
@@ -309,7 +326,7 @@ def reference_run_single(config, policy, seed):
         else:
             arm = optimal_sets[r - 1] if variant is None else select_superarm(state, variant, r, j)
             resp = member_responses(pool, arm, latency_rng, 1)[0]
-            record_outcome(state, arm, resp, pool)
+            book_iteration(state, pool, arm, resp)
         times[j - 1] = resp.max()
         lo = offsets[j - 1]
         members[lo : lo + r] = arm

@@ -269,6 +269,24 @@ def test_bounds_reject_iterations_past_the_horizon(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--j", "11", "--eps", ""], "error: iteration 11 is past the schedule's horizon 10"),
+        (["--j", "5,10", "--eps", ""], "error: --j and --eps each need at least one value"),
+        (["--j", "", "--eps", "1"], "error: --j and --eps each need at least one value"),
+    ],
+    ids=["past-horizon-no-eps", "empty-eps", "empty-j"],
+)
+def test_bounds_reject_empty_lists_and_past_horizon_before_output(tmp_path, capsys, extra, message):
+    # an empty --eps once skipped the only past-horizon check and printed a regret row for iteration 11
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\n")
+    assert main(["bounds", "--config", cfg, "--rates", "1,2,4", "--schedule", "5,10", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_log_level_surfaces_library_warnings(tmp_path, capsys):
     # a one-iteration round at eps=0.5 makes the Chebyshev factor negative
     argv = ["bounds", "--rates", "1", "--config", _mini_cfg(tmp_path, "n = 1\nb = 1\nschedule = 1\n"), "--eps", "0.5"]

@@ -6,6 +6,8 @@ import functools
 import glob
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -380,6 +382,57 @@ def test_bandit_only_mode():
     assert np.isnan(trace.model_errors).all()
     with pytest.raises(ValueError, match="computed schedule"):
         run_single(small_config(simulate_sgd=False, schedule="computed"), "cmab-plain", 0)
+
+
+def test_trace_shares_the_setups_read_only_arrays():
+    cfg = small_config(simulate_sgd=False)
+    setup = SeedSetup.build(cfg, 0)
+    for policy in cfg.policies:
+        trace = run_single(cfg, policy, 0, setup)
+        assert not trace.employments.flags.writeable, policy
+        assert not trace.model_errors.flags.writeable, policy
+        if policy != "adaptive-ksync":
+            assert np.shares_memory(trace.employments, setup.rounds), policy
+    assert setup.model_errors.dtype == np.float64 and setup.model_errors.shape == setup.rounds.shape
+
+
+def test_suboptimal_flags_sum_to_the_suboptimal_count():
+    policies = ("cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync")
+    shapes = [dict(), dict(n=12, b=4, schedule="20,50,90,140", mean_step=0.1, distinct_means=False)]
+    for shape in shapes:
+        cfg = small_config(simulate_sgd=False, policies=policies, **shape)
+        charged = 0
+        for policy in cfg.policies:
+            for seed in (0, 1, 2):
+                trace = run_single(cfg, policy, seed)
+                flags = trace.suboptimal_flags
+                assert flags.dtype == bool and flags.shape == (len(trace),)
+                if policy == "adaptive-ksync":
+                    # by design: k-sync books all n workers and charges nothing,
+                    # while its flags judge the r workers it used
+                    assert trace.suboptimal_count == 0
+                    continue
+                assert int(flags.sum()) == trace.suboptimal_count, (policy, seed)
+                charged += trace.suboptimal_count
+                if policy == "optimal":
+                    assert not flags.any()
+        assert charged > 0
+
+
+def test_compare_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs about 1 MiB of resident memory; np.intersect1d and np.unique import it
+    quick = os.path.join(CONFIG_DIR, "quick.cfg")
+    script = (
+        "import sys\n"
+        "from banditsgd.cli import main\n"
+        f"assert main(['compare', '--config', {quick!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(CONFIG_DIR), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", "compare imported numpy.ma"
 
 
 def test_computed_schedule_end_to_end():

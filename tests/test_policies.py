@@ -1,6 +1,7 @@
 """Selection policies, bandit bookkeeping, and round scheduling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,15 @@ from banditsgd.policies import (
 )
 from banditsgd.sgd import BoundParams
 
-from _oracles import confidence_radius, exploration_scale, lcb, lcb_values, select_superarm, superarm_is_suboptimal
+from _oracles import (
+    book_iteration,
+    confidence_radius,
+    exploration_scale,
+    lcb,
+    lcb_values,
+    select_superarm,
+    superarm_is_suboptimal,
+)
 
 
 def state_with(pulls, sums, iteration=0):
@@ -179,20 +188,22 @@ def test_seeded_truth_with_zero_radius_reduces_to_optimal():
             )
 
 
-def random_state(rng, n, pulled_share):
-    pulls = np.where(rng.random(n) < pulled_share, rng.integers(1, 40, n), 0)
+def random_state(rng, n, pulled_share, max_pulls=40):
+    pulls = np.where(rng.random(n) < pulled_share, rng.integers(1, max_pulls, n), 0)
     return state_with(pulls, rng.uniform(0.1, 1.0, n) * pulls, iteration=int(pulls.sum()) + 1)
 
 
 @given(st.integers(0, 2**31 - 1), st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_round_step_matches_per_iteration_oracle(seed, scaled):
-    # repeated means exercise the tolerance side of the suboptimality test
+    # repeated means exercise the tolerance side of the suboptimality test, and
+    # few starting pulls the lowest-index tie-break of the suboptimal charge
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 9))
     pool = WorkerPool(1.0 / rng.choice([0.2, 0.4, 0.6, 0.8], size=n))
     variant = "scaled" if scaled else "plain"
-    start = random_state(rng, n, pulled_share=float(rng.choice([0.0, 0.5, 1.0])))
+    pulled_share = float(rng.choice([0.0, 0.5, 1.0]))
+    start = random_state(rng, n, pulled_share, max_pulls=int(rng.choice([3, 40])))
     oracle = state_with(start.pulls.copy(), start.response_sums.copy(), iteration=start.current_iteration)
     # two consecutive calls, each with its own r: the state carries the iteration from one to the next
     for _ in range(2):
@@ -206,11 +217,31 @@ def test_round_step_matches_per_iteration_oracle(seed, scaled):
             np.testing.assert_array_equal(arms[i], arm)
             row = draws[i] * pool.means[arm]
             assert responses[i].tobytes() == row.tobytes()
-            record_outcome(oracle, arm, row, pool)
+            book_iteration(oracle, pool, arm, row)
         assert start.pulls.dtype == oracle.pulls.dtype
         for name in ("pulls", "response_sums", "suboptimal_pulls"):
             assert getattr(start, name).tobytes() == getattr(oracle, name).tobytes(), name
         assert start.current_iteration == oracle.current_iteration == j0 + draws.shape[0] - 1
+
+
+@pytest.mark.parametrize("n", [50, 500])
+def test_round_step_temporaries_are_o_l_r(n):
+    # the suboptimal charge runs once per round on the (L, r) block; an (L, n)
+    # temporary, such as a one-hot running count of pulls, breaks the bound
+    # (about 3.8 times the arms at n=50 with int32 counts, 15 at n=500)
+    iterations, r = 9000, 20
+    rng = np.random.default_rng(4)
+    pool = WorkerPool(rng.uniform(1.0, 10.0, n))
+    state, draws = BanditState.zeros(n), rng.standard_exponential((iterations, r))
+    select_superarm_cmab(BanditState.zeros(n), "plain", pool, np.ones((2, r)))  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        arms = select_superarm_cmab(state, "plain", pool, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.suboptimal_pulls.sum() > 0  # the charge ran
+    assert peak <= 3.5 * arms.nbytes, f"the round step traced {peak / arms.nbytes:.2f} times its (L, r) arms"
 
 
 def test_round_step_faults_leave_state_untouched():

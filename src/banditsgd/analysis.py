@@ -179,20 +179,17 @@ def regret_bound_curve(
     *,
     gaps: GapReport | None = None,
     tail_term: str = "pi2/3",
-    log_truncated: bool = False,
 ) -> np.ndarray:
     """Worst-case expected regret of the bandit policy at each iteration j of ``js``.
 
     max-started-round Delta_max * n * (48 log(j) / min(delta_min^2, delta_min)
     + 1 + u * pi^2/3), with u the number of started rounds. ``tail_term``
-    switches the additive constant to u * pi/3 for comparison;
-    ``log_truncated`` freezes the logarithm at the schedule horizon (the two
-    forms coincide for j within the schedule). The logarithm is ``math.log``
-    per element, because ``np.log`` may differ from it in the last bit.
+    switches the additive constant to u * pi/3 for comparison. The logarithm
+    is ``math.log`` per element, because ``np.log`` may differ from it in the
+    last bit.
     """
+    u = schedule.rounds_of(js)
     js = np.asarray(js, dtype=np.float64)
-    if (js < 1).any():
-        raise ValueError("iteration must be >= 1")
     if not pool.theorem_valid:
         raise ValueError("regret bound requires every worker rate >= 1 (rescale time units)")
     if tail_term not in TAIL_TERMS:
@@ -200,13 +197,10 @@ def regret_bound_curve(
     gaps = _gaps_for(pool, schedule, gaps)
     if gaps.delta_min == 0:
         raise ValueError("regret bound undefined for delta_min = 0")
-    points = np.asarray(schedule.switching_points)
-    clipped = np.minimum(js, points[-1])
-    started = np.searchsorted(points, clipped, side="left")  # u - 1, at most b - 1
-    delta_term = np.maximum.accumulate(gaps.delta_max)[started]
-    logs = np.fromiter(map(math.log, (clipped if log_truncated else js).tolist()), np.float64, js.size)
+    delta_term = np.maximum.accumulate(gaps.delta_max)[u - 1]
+    logs = np.fromiter(map(math.log, js.tolist()), np.float64, js.size)
     denom = min(gaps.delta_min**2, gaps.delta_min)
-    return delta_term * pool.n * (48.0 * logs / denom + 1.0 + (started + 1) * TAIL_TERMS[tail_term])
+    return delta_term * pool.n * (48.0 * logs / denom + 1.0 + u * TAIL_TERMS[tail_term])
 
 
 def regret_bound(pool: WorkerPool, schedule: RoundSchedule, j: float, **options) -> float:
@@ -217,19 +211,21 @@ def regret_bound(pool: WorkerPool, schedule: RoundSchedule, j: float, **options)
 def regret_bound_table(
     pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None, tail_term: str = "pi2/3"
 ) -> dict | None:
-    """The worst-case bound at iterations ``js`` in both logarithm forms and their minimum.
+    """The worst-case bound at iterations ``js``, under the three column names ``bounds`` and ``compare`` write.
 
-    None when the bound does not apply: it needs every rate >= 1 and a
-    positive, finite minimum gap.
+    Within a run (iterations 1 .. horizon) a logarithm truncated at the
+    horizon is ``log j``, so ``bound_log_truncated`` and ``bound_tighter``
+    are the ``bound_log_iter`` curve; the output keeps all three. None when
+    the bound does not apply: it needs every rate >= 1 and a positive,
+    finite minimum gap.
     """
     if not pool.theorem_valid:
         return None
     gaps = _gaps_for(pool, schedule, gaps)
     if not 0.0 < gaps.delta_min < math.inf:
         return None
-    plain = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term)
-    truncated = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term, log_truncated=True)
-    return {"bound_log_iter": plain, "bound_log_truncated": truncated, "bound_tighter": np.minimum(plain, truncated)}
+    curve = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term)
+    return dict.fromkeys(("bound_log_iter", "bound_log_truncated", "bound_tighter"), curve)
 
 
 def completion_time_bound(
@@ -249,16 +245,13 @@ def completion_time_bound(
     from Chebyshev's inequality on the round's summed response times. Factors
     that go negative (rounds too short for the variance) are clamped to zero.
     ``mu_opt`` and ``var_opt`` are read from ``gaps``, computed when not given.
-    A run ends at the schedule's horizon, so a later ``j`` is rejected.
+    ``j`` must lie in the run, 1 .. the schedule's horizon.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
     if not math.isfinite(regret):
         raise ValueError(f"regret must be finite, got {regret}")
-    if j < 1:
-        raise ValueError("iteration must be >= 1")
-    if j > schedule.horizon:
-        raise ValueError(f"iteration {j} is past the schedule's horizon {schedule.horizon}")
+    schedule.rounds_of(j)  # rejects j outside 1 .. horizon
     gaps = _gaps_for(pool, schedule, gaps)
     time_bound = float(regret)
     prob = 1.0

@@ -64,7 +64,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_bounds(args) -> int:
     config = _build_config(args)
-    pool = WorkerPool(args.rates) if args.rates else harness.build_pool(config, config.seeds[0])
+    pool = WorkerPool(args.rates) if args.rates is not None else harness.build_pool(config, config.seeds[0])
     if pool.n < config.b:
         raise ValueError(f"pool has {pool.n} workers but b={config.b}")
     computed = config.switching_points() is None and config.simulate_sgd
@@ -72,9 +72,7 @@ def _cmd_bounds(args) -> int:
     schedule = harness.resolve_schedule(config, problem)
 
     js = list(schedule.switching_points) if args.j is None else args.j
-    for j in js:  # checked before any output, whatever --eps holds
-        if j > schedule.horizon:
-            raise ValueError(f"iteration {j} is past the schedule's horizon {schedule.horizon}")
+    schedule.rounds_of(js)  # checked before any output, whatever --eps holds
     if not js or not args.eps:
         raise ValueError("--j and --eps each need at least one value")
     gaps = analysis.compute_gaps(pool, schedule)

@@ -30,9 +30,7 @@ class BanditState:
     summed observed response times, and ``suboptimal_pulls[i]`` the
     bookkeeping counter that is incremented for exactly one member (the one
     least pulled before that iteration) whenever a suboptimal superarm is
-    chosen, so its total equals the number of suboptimal superarm pulls. The
-    bandit's round step books these charges once per round, from the pulls at
-    the round's start.
+    chosen, so its total equals the number of suboptimal superarm pulls.
     """
 
     pulls: np.ndarray
@@ -70,36 +68,6 @@ def suboptimal_rows(pool: WorkerPool, arms: np.ndarray) -> np.ndarray:
     return (member_means > pool.sorted_means[: arms.shape[1]] + SUBOPTIMALITY_TOL).any(axis=1)
 
 
-def _charge_suboptimal(suboptimal_pulls: np.ndarray, pulls: np.ndarray, arms: np.ndarray, pool: WorkerPool) -> None:
-    """Charge each suboptimal row of an ``(L, r)`` block to its member with the fewest pulls before that row.
-
-    ``pulls`` are the counts before the block's first row; row ``i`` plays
-    after rows ``0 .. i-1``, and a member appears at most once per row, so a
-    member's pulls before row ``i`` are ``pulls`` plus its rank among the
-    block's earlier copies of the same worker: a stable sort of the flattened
-    block groups the copies in row order. Ties go to the lowest index (the
-    members of a row ascend and ``argmin`` takes the first). Temporaries are
-    O(L r), freed as soon as they are spent; nothing of shape ``(L, n)`` is
-    built.
-    """
-    rows = np.flatnonzero(suboptimal_rows(pool, arms))
-    if rows.size == 0:
-        return
-    flat = arms[: rows[-1] + 1].ravel()
-    order = flat.argsort(kind="stable")
-    # each member's place in that sort, in the smallest signed type that holds it
-    position = np.empty(flat.size, dtype=np.min_scalar_type(-flat.size))
-    position[order] = np.arange(flat.size, dtype=position.dtype)
-    del order
-    copies = np.bincount(flat, minlength=pulls.size)
-    # a worker's copies start where the smaller workers' copies end
-    before = (pulls - (np.cumsum(copies) - copies))[flat]
-    before += position
-    del position
-    least = arms[rows, before.reshape(-1, arms.shape[1]).argmin(axis=1)[rows]]
-    suboptimal_pulls += np.bincount(least, minlength=suboptimal_pulls.size)
-
-
 def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, draws: np.ndarray) -> np.ndarray:
     """Play the next ``L`` iterations of one bandit round; return their ``(L, r)`` superarms.
 
@@ -109,10 +77,9 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
     LCBs on the counters so far (ties to the lowest index; the members of a
     row ascend), scales that row of ``draws`` in place by the members' mean
     response times, so the row becomes the observed responses, and adds the
-    row to the state's pulls and response sums. The suboptimal charges are
-    booked once, after the round's last iteration, with the rule
-    ``record_outcome`` applies to each of its iterations (``suboptimal_rows``,
-    then the member with the fewest pulls before that iteration).
+    row to the state's pulls and response sums. Each iteration also notes its
+    least-pulled member (the charge ``record_outcome`` makes); the round's
+    suboptimal rows (``suboptimal_rows``) are charged to those members at the end.
 
     An arm's LCB at iteration ``j`` is its empirical mean minus the radius
     ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``; unpulled arms score
@@ -144,6 +111,7 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
     coef, terms, lcb = np.empty((2, 1)), np.empty((2, n)), np.empty(n)
     radius, linear = terms  # row views, made once
     arms = np.empty((iterations, r), dtype=np.int64)
+    least = np.empty(iterations, dtype=np.int64)  # each iteration's least-pulled member
     # reductions are slow on small arrays: count_nonzero and argmin stand in for all() and min()
     pulled = np.count_nonzero(counts)
     for i in range(iterations):
@@ -173,11 +141,13 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
         arm.sort()
         row = draws[i]
         row *= means[arm]
-        counts[arm] += 1.0
+        seen = counts[arm]
+        least[i] = arm[seen.argmin()]  # ties to the lowest index: the row ascends
+        counts[arm] = seen + 1.0
         sums[arm] += row
         if pulled < n:
             pulled = np.count_nonzero(counts)
-    _charge_suboptimal(state.suboptimal_pulls, state.pulls, arms, pool)
+    state.suboptimal_pulls += np.bincount(least[suboptimal_rows(pool, arms)], minlength=n)
     state.pulls[:] = counts
     state.current_iteration += iterations
     return arms
@@ -243,7 +213,14 @@ class RoundSchedule:
     def horizon(self) -> int:
         return self.switching_points[-1]
 
-    def rounds_of(self, js: np.ndarray) -> np.ndarray:
+    def rounds_of(self, js) -> np.ndarray:
+        """The round of each iteration of ``js``; a run covers iterations 1 .. horizon, and others are rejected."""
+        js = np.asarray(js)
+        if (js < 1).any():
+            raise ValueError("iteration must be >= 1")
+        late = js > self.horizon
+        if late.any():
+            raise ValueError(f"iteration {js[late][0]} is past the schedule's horizon {self.horizon}")
         return np.searchsorted(self._points_arr, js, side="left") + 1
 
     def round_lengths(self) -> np.ndarray:

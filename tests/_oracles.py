@@ -418,16 +418,15 @@ def one_block_tail_rates(t, lam, eps_grid, trials, rng) -> dict:
 TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}
 
 
-def regret_bound(n, switching_points, delta_max, delta_min, j, *, tail_term="pi2/3", log_truncated=False) -> float:
-    """The worst-case bound at one iteration j, from a gap report's ``delta_max`` and ``delta_min``.
+def regret_bound(n, switching_points, delta_max, delta_min, j, *, tail_term="pi2/3") -> float:
+    """The worst-case bound at one iteration j of the run, from a gap report's ``delta_max`` and ``delta_min``.
 
     Delta_max over started rounds * n * (48 log(j) / min(delta_min^2, delta_min)
-    + 1 + u * tail), u = 1 + the number of switching points before min(j, horizon).
+    + 1 + u * tail), u = 1 + the number of switching points before j.
     """
     j = float(j)
-    clipped = min(j, switching_points[-1])
-    u = 1 + sum(1 for t in switching_points if t < clipped)
+    u = 1 + sum(1 for t in switching_points if t < j)
     delta_term = max(float(d) for d in delta_max[:u])
-    log_val = math.log(clipped if log_truncated else j)
+    log_val = math.log(j)
     denom = min(delta_min**2, delta_min)
     return delta_term * n * (48.0 * log_val / denom + 1.0 + u * TAIL_TERMS[tail_term])

@@ -19,6 +19,7 @@ from banditsgd.analysis import (
     subgamma_tail,
     subgaussian_tail,
 )
+from banditsgd.cli import main
 from banditsgd.harness import ExperimentConfig, run_single
 from banditsgd.latency import WorkerPool, expected_max, variance_of_max
 from banditsgd.policies import RoundSchedule, select_superarm_optimal
@@ -183,18 +184,12 @@ def test_regret_bound_hand_value():
     assert smaller < expected
 
 
-def test_regret_bound_monotone_and_truncation():
+def test_regret_bound_monotone():
     pool = WorkerPool([1.0, 1.5, 3.0])
     sched = RoundSchedule((5, 12, 30))
     js = [1, 2, 5, 6, 12, 13, 30]
     vals = [regret_bound(pool, sched, j) for j in js]
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    for j in js:
-        assert regret_bound(pool, sched, j, log_truncated=True) == pytest.approx(
-            regret_bound(pool, sched, j), rel=1e-12
-        )
-    # beyond the horizon the truncated form freezes the logarithm
-    assert regret_bound(pool, sched, 100, log_truncated=True) < regret_bound(pool, sched, 100)
 
 
 def test_regret_bound_requires_unit_rates():
@@ -203,37 +198,64 @@ def test_regret_bound_requires_unit_rates():
 
 
 def test_regret_bound_curve_matches_scalar():
-    # a 28 000-iteration horizon, both tail terms and log forms, iterations past the horizon
+    # a 28 000-iteration horizon, both tail terms, every iteration of the run
     pool = WorkerPool(1.0 / np.array([0.9, 0.3, 0.55, 0.1, 0.75, 0.2, 0.45, 0.6]))
     sched = RoundSchedule((1000, 4000, 9000, 17000, 28000))
     gaps = compute_gaps(pool, sched)
     # a delta_max that falls between rounds makes the running max over started rounds matter
     reordered = dataclasses.replace(gaps, delta_max=gaps.delta_max[[2, 0, 4, 1, 3]])
-    js = np.concatenate([np.arange(1, 28001), [28001, 31000.5, 10**6]])
+    js = np.arange(1, 28001)
     for report in (gaps, reordered):
         inputs = (pool.n, sched.switching_points, report.delta_max, report.delta_min)
         for tail_term in ("pi2/3", "pi/3"):
-            for log_truncated in (False, True):
-                options = dict(tail_term=tail_term, log_truncated=log_truncated)
-                curve = regret_bound_curve(pool, sched, js, gaps=report, **options)
-                scalar = [oracle_regret_bound(*inputs, j, **options) for j in js.tolist()]
-                np.testing.assert_array_equal(curve, scalar)
-                assert regret_bound(pool, sched, 31000.5, gaps=report, **options) == scalar[-2]
+            curve = regret_bound_curve(pool, sched, js, gaps=report, tail_term=tail_term)
+            scalar = [oracle_regret_bound(*inputs, j, tail_term=tail_term) for j in js.tolist()]
+            np.testing.assert_array_equal(curve, scalar)
+            assert regret_bound(pool, sched, 27000.5, gaps=report, tail_term=tail_term) == oracle_regret_bound(
+                *inputs, 27000.5, tail_term=tail_term
+            )
 
 
 def test_regret_bound_table_columns_and_applicability():
     pool = WorkerPool([1.0, 1.5, 3.0])
     sched = RoundSchedule((5, 12, 30))
-    js = np.arange(1, 41)
+    js = np.arange(1, 31)
     table = regret_bound_table(pool, sched, js, tail_term="pi/3")
-    plain = regret_bound_curve(pool, sched, js, tail_term="pi/3")
-    truncated = regret_bound_curve(pool, sched, js, tail_term="pi/3", log_truncated=True)
+    curve = regret_bound_curve(pool, sched, js, tail_term="pi/3")
     assert list(table) == ["bound_log_iter", "bound_log_truncated", "bound_tighter"]
-    np.testing.assert_array_equal(table["bound_log_iter"], plain)
-    np.testing.assert_array_equal(table["bound_log_truncated"], truncated)
-    np.testing.assert_array_equal(table["bound_tighter"], np.minimum(plain, truncated))
+    for column in table.values():  # within the horizon the three forms are one curve
+        assert column.tobytes() == curve.tobytes()
     assert regret_bound_table(WorkerPool([0.5, 2.0]), RoundSchedule((5,)), js) is None  # a rate below 1
     assert regret_bound_table(WorkerPool([2.0, 2.0]), RoundSchedule((6,)), js) is None  # no positive gap
+
+
+PAST_HORIZON_CALLS = {
+    "rounds_of": lambda pool, sched, j: sched.rounds_of([1, j]),
+    "regret_bound_curve": lambda pool, sched, j: regret_bound_curve(pool, sched, [1, j]),
+    "regret_bound": lambda pool, sched, j: regret_bound(pool, sched, j),
+    "regret_bound_table": lambda pool, sched, j: regret_bound_table(pool, sched, [j]),
+    "completion_time_bound": lambda pool, sched, j: completion_time_bound(pool, sched, j, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize(
+    "j, message", [(11, "iteration 11 is past the schedule's horizon 10"), (0, "iteration must be >= 1")]
+)
+@pytest.mark.parametrize("call", [*PAST_HORIZON_CALLS, "bounds --j"])
+def test_iterations_outside_the_run_are_rejected(call, j, message, tmp_path, capsys):
+    # a run covers iterations 1 .. horizon; RoundSchedule.rounds_of is the one place that says so
+    pool, sched = WorkerPool([1.0, 2.0, 4.0]), RoundSchedule((5, 10))
+    assert regret_bound_table(pool, sched, [10]) is not None  # the bound applies, so the table checks too
+    if call == "bounds --j":
+        cfg = tmp_path / "mini.cfg"
+        cfg.write_text("n = 3\nb = 2\n")
+        assert main(["bounds", "--config", str(cfg), "--rates", "1,2,4", "--schedule", "5,10", "--j", str(j)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        return
+    with pytest.raises(ValueError) as exc:
+        PAST_HORIZON_CALLS[call](pool, sched, j)
+    assert str(exc.value) == message
 
 
 def test_regret_bound_identical_means_is_zero():

@@ -275,11 +275,13 @@ def test_bounds_reject_iterations_past_the_horizon(tmp_path, capsys):
         (["--j", "11", "--eps", ""], "error: iteration 11 is past the schedule's horizon 10"),
         (["--j", "5,10", "--eps", ""], "error: --j and --eps each need at least one value"),
         (["--j", "", "--eps", "1"], "error: --j and --eps each need at least one value"),
+        (["--rates", "", "--eps", "1"], "error: worker pool needs a non-empty 1-D rate list"),
     ],
-    ids=["past-horizon-no-eps", "empty-eps", "empty-j"],
+    ids=["past-horizon-no-eps", "empty-eps", "empty-j", "empty-rates"],
 )
 def test_bounds_reject_empty_lists_and_past_horizon_before_output(tmp_path, capsys, extra, message):
-    # an empty --eps once skipped the only past-horizon check and printed a regret row for iteration 11
+    # an empty --eps once skipped the only past-horizon check and printed a regret row for iteration 11,
+    # and an empty --rates was taken as "not given" and printed a pool sampled from the config
     cfg = _mini_cfg(tmp_path, "n = 3\nb = 2\n")
     assert main(["bounds", "--config", cfg, "--rates", "1,2,4", "--schedule", "5,10", *extra]) == 2
     captured = capsys.readouterr()

@@ -226,9 +226,10 @@ def test_round_step_matches_per_iteration_oracle(seed, scaled):
 
 @pytest.mark.parametrize("n", [50, 500])
 def test_round_step_temporaries_are_o_l_r(n):
-    # the suboptimal charge runs once per round on the (L, r) block; an (L, n)
-    # temporary, such as a one-hot running count of pulls, breaks the bound
-    # (about 3.8 times the arms at n=50 with int32 counts, 15 at n=500)
+    # the round holds its (L, r) arms, one (L,) row of least-pulled members and
+    # the (L, r) member means of the once-per-round suboptimality test: about
+    # 2.2 times the arms. An (L, n) temporary, such as a one-hot running count
+    # of pulls, breaks the bound (3.8 times at n=50 with int32 counts, 15 at n=500)
     iterations, r = 9000, 20
     rng = np.random.default_rng(4)
     pool = WorkerPool(rng.uniform(1.0, 10.0, n))
@@ -241,7 +242,7 @@ def test_round_step_temporaries_are_o_l_r(n):
     finally:
         tracemalloc.stop()
     assert state.suboptimal_pulls.sum() > 0  # the charge ran
-    assert peak <= 3.5 * arms.nbytes, f"the round step traced {peak / arms.nbytes:.2f} times its (L, r) arms"
+    assert peak <= 2.5 * arms.nbytes, f"the round step traced {peak / arms.nbytes:.2f} times its (L, r) arms"
 
 
 def test_round_step_faults_leave_state_untouched():

@@ -14,8 +14,8 @@ from .policies import RoundSchedule, select_superarm_optimal, suboptimal_rows
 
 logger = logging.getLogger(__name__)
 
-# The additive constant per started round in the worst-case regret bound.
-TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}
+# The additive constant per started round in the worst-case regret bound (CUCB's pi^2/3).
+ROUND_TAIL = math.pi**2 / 3.0
 
 
 @dataclass(frozen=True)
@@ -172,45 +172,33 @@ def _gaps_for(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None)
     return gaps
 
 
-def regret_bound_curve(
-    pool: WorkerPool,
-    schedule: RoundSchedule,
-    js,
-    *,
-    gaps: GapReport | None = None,
-    tail_term: str = "pi2/3",
-) -> np.ndarray:
+def regret_bound_curve(pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None) -> np.ndarray:
     """Worst-case expected regret of the bandit policy at each iteration j of ``js``.
 
     max-started-round Delta_max * n * (48 log(j) / min(delta_min^2, delta_min)
-    + 1 + u * pi^2/3), with u the number of started rounds. ``tail_term``
-    switches the additive constant to u * pi/3 for comparison. The logarithm
-    is ``math.log`` per element, because ``np.log`` may differ from it in the
+    + 1 + u * pi^2/3), with u the number of started rounds. The logarithm is
+    ``math.log`` per element, because ``np.log`` may differ from it in the
     last bit.
     """
     u = schedule.rounds_of(js)
     js = np.asarray(js, dtype=np.float64)
     if not pool.theorem_valid:
         raise ValueError("regret bound requires every worker rate >= 1 (rescale time units)")
-    if tail_term not in TAIL_TERMS:
-        raise ValueError(f"unknown tail_term {tail_term!r}; choose from {tuple(TAIL_TERMS)}")
     gaps = _gaps_for(pool, schedule, gaps)
     if gaps.delta_min == 0:
         raise ValueError("regret bound undefined for delta_min = 0")
     delta_term = np.maximum.accumulate(gaps.delta_max)[u - 1]
     logs = np.fromiter(map(math.log, js.tolist()), np.float64, js.size)
     denom = min(gaps.delta_min**2, gaps.delta_min)
-    return delta_term * pool.n * (48.0 * logs / denom + 1.0 + u * TAIL_TERMS[tail_term])
+    return delta_term * pool.n * (48.0 * logs / denom + 1.0 + u * ROUND_TAIL)
 
 
-def regret_bound(pool: WorkerPool, schedule: RoundSchedule, j: float, **options) -> float:
-    """``regret_bound_curve`` at the single iteration j, with the same keyword options."""
-    return float(regret_bound_curve(pool, schedule, [j], **options)[0])
+def regret_bound(pool: WorkerPool, schedule: RoundSchedule, j: float, *, gaps: GapReport | None = None) -> float:
+    """``regret_bound_curve`` at the single iteration j."""
+    return float(regret_bound_curve(pool, schedule, [j], gaps=gaps)[0])
 
 
-def regret_bound_table(
-    pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None, tail_term: str = "pi2/3"
-) -> dict | None:
+def regret_bound_table(pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None) -> dict | None:
     """The worst-case bound at iterations ``js``, under the three column names ``bounds`` and ``compare`` write.
 
     Within a run (iterations 1 .. horizon) a logarithm truncated at the
@@ -224,7 +212,7 @@ def regret_bound_table(
     gaps = _gaps_for(pool, schedule, gaps)
     if not 0.0 < gaps.delta_min < math.inf:
         return None
-    curve = regret_bound_curve(pool, schedule, js, gaps=gaps, tail_term=tail_term)
+    curve = regret_bound_curve(pool, schedule, js, gaps=gaps)
     return dict.fromkeys(("bound_log_iter", "bound_log_truncated", "bound_tighter"), curve)
 
 

@@ -11,7 +11,6 @@ import sys
 
 from . import analysis, harness, verify
 from .latency import WorkerPool
-from .policies import RADIUS_VARIANTS
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +66,7 @@ def _cmd_bounds(args) -> int:
     pool = WorkerPool(args.rates) if args.rates is not None else harness.build_pool(config, config.seeds[0])
     if pool.n < config.b:
         raise ValueError(f"pool has {pool.n} workers but b={config.b}")
-    computed = config.switching_points() is None and config.simulate_sgd
+    computed = config.switching_points() is None
     problem = harness.build_problem(config, config.seeds[0]) if computed else None
     schedule = harness.resolve_schedule(config, problem)
 
@@ -87,7 +86,7 @@ def _cmd_bounds(args) -> int:
         "regret_bounds": [],
         "time_bounds": [],
     }
-    table = analysis.regret_bound_table(pool, schedule, js, gaps=gaps, tail_term=config.bound_tail_term)
+    table = analysis.regret_bound_table(pool, schedule, js, gaps=gaps)
     for i, j in enumerate(js):
         row = {"iter": j}
         if table is not None:
@@ -156,8 +155,6 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--schedule", help="'computed' or comma-separated switching points")
-        p.add_argument("--variant", choices=RADIUS_VARIANTS, help="radius variant for the bare 'cmab' policy")
         p.add_argument(
             "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
         )
@@ -185,6 +182,9 @@ def main(argv=None) -> int:
     p_bnd.add_argument("--regret", type=float, help="regret value for the time bound (default: worst-case bound)")
     p_bnd.add_argument("--out", help="JSON output path (default: stdout)")
     p_bnd.set_defaults(func=_cmd_bounds)
+
+    for p in (p_run, p_cmp, p_bnd):  # verify reads no schedule
+        p.add_argument("--schedule", help="'computed' or comma-separated switching points")
 
     p_ver = sub.add_parser("verify", help="Monte Carlo oracle suite")
     add_common(p_ver)

@@ -23,9 +23,8 @@ import numpy as np
 
 from . import analysis, sgd
 from .analysis import RunTrace
-from .latency import WorkerPool, member_responses, response_vector
+from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, member_responses, response_vector
 from .policies import (
-    RADIUS_VARIANTS,
     BanditState,
     RoundSchedule,
     compute_schedule,
@@ -38,7 +37,13 @@ logger = logging.getLogger(__name__)
 
 STREAM_LABELS = ("data-generation", "mean-assignment", "worker-latency", "batch-sampling")
 
-POLICY_NAMES = ("cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync")
+# The bandit policies and the radius variant (``policies.RADIUS_VARIANTS``) each runs.
+BANDIT_VARIANTS = {"cmab-plain": "plain", "cmab-scaled": "scaled"}
+POLICY_NAMES = (*BANDIT_VARIANTS, "optimal", "adaptive-ksync")
+
+# summary.json still writes these two removed config fields, at the values every
+# run now uses, so its bytes stay the same; they go at the next output-contract bump.
+RETIRED_SUMMARY_KEYS = {"variant": "plain", "bound_tail_term": "pi2/3"}
 
 TRACE_HEADER = "iter,round,policy,seed,superarm,response_time,cum_time,employments,cum_employments,model_error"
 
@@ -70,7 +75,6 @@ class ExperimentConfig:
     eta: float = 1e-4
     seeds: tuple[int, ...] = tuple(range(10))
     policies: tuple[str, ...] = ("cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync")
-    variant: str = "plain"
     schedule: str = "computed"
     theta: float = 0.1
     j_cap: int = 1_000_000
@@ -82,7 +86,6 @@ class ExperimentConfig:
     pool_seed: int | None = None
     data_seed: int | None = None
     simulate_sgd: bool = True
-    bound_tail_term: str = "pi2/3"
     out_dir: str | None = None
     write_traces: bool = True
     mc_samples: int = 1_000_000
@@ -106,8 +109,6 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} must not repeat an entry, got {values}")
-        if self.variant not in RADIUS_VARIANTS:
-            raise ValueError(f"variant must be one of {RADIUS_VARIANTS}, got {self.variant!r}")
         if not 0 < self.mean_min <= self.mean_max < math.inf:
             raise ValueError(f"need 0 < mean_min <= mean_max < inf, got {self.mean_min} and {self.mean_max}")
         if not 0 < self.mean_step < math.inf:
@@ -125,9 +126,6 @@ class ExperimentConfig:
             raise ValueError(f"need j_cap >= b, got j_cap={self.j_cap}, b={self.b}")
         if self.mc_lists < 1 or self.mc_samples < 1:
             raise ValueError(f"need mc_lists >= 1 and mc_samples >= 1, got {self.mc_lists} and {self.mc_samples}")
-        if self.bound_tail_term not in analysis.TAIL_TERMS:
-            choices = tuple(analysis.TAIL_TERMS)
-            raise ValueError(f"unknown bound_tail_term {self.bound_tail_term!r}; choose from {choices}")
         if self.worker_means is not None:
             if len(self.worker_means) != self.n:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
@@ -136,6 +134,8 @@ class ExperimentConfig:
         elif self.distinct_means:
             self.mean_grid()  # fails unless the grid has at least n values
         points = self.switching_points()  # parse eagerly so bad values fail here
+        if points is None and not self.simulate_sgd:
+            raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
         if points is not None:
             try:
                 RoundSchedule(points)
@@ -247,14 +247,7 @@ def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
     points = config.switching_points()
     if points is not None:
         return RoundSchedule(points)
-    if problem is None:
-        raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
     return compute_schedule(sgd.estimate_bound_params(problem), config.b, config.theta, config.j_cap)
-
-
-def policy_variant(policy: str, config: ExperimentConfig) -> str | None:
-    """The radius variant a bandit policy runs (``config.variant`` for bare ``cmab``); None for the others."""
-    return {"cmab-plain": "plain", "cmab-scaled": "scaled", "cmab": config.variant}.get(policy)
 
 
 @dataclass(eq=False)
@@ -330,7 +323,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     pool, schedule, rounds, offsets = setup.pool, setup.schedule, setup.rounds, setup.offsets
 
     latency_rng = stream_rng(seed, "worker-latency")
-    variant = policy_variant(policy, config)
+    variant = BANDIT_VARIANTS.get(policy)
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
 
@@ -443,7 +436,8 @@ def run_comparison(config: ExperimentConfig):
     Each seed's ``SeedSetup`` (pool, problem, schedule, learning trajectory)
     and round reference means, read from one gap report on a pinned pool, are
     computed once and shared by every policy.
-    Computed schedules must agree across seeds; that is checked before any run.
+    Computed schedules must agree across seeds, and a bandit policy's regret
+    analysis needs b <= ``SUBSET_ENUMERATION_CAP``; both are checked before any run.
 
     Returns a dict with per-policy seed-averaged error curves (indexed by
     iteration, wall-clock time, and cumulative employments), per-worker
@@ -453,11 +447,13 @@ def run_comparison(config: ExperimentConfig):
     """
     if len(config.policies) < 2:
         raise ValueError("comparison needs at least two policies")
+    bandits = [p for p in config.policies if p in BANDIT_VARIANTS]
+    if bandits and config.b > SUBSET_ENUMERATION_CAP:
+        raise ValueError(f"b={config.b} with a bandit policy; subset enumeration is capped at {SUBSET_ENUMERATION_CAP}")
     setups = [SeedSetup.build(config, s) for s in config.seeds]
     if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
     traces = {p: [run_single(config, p, s.seed, s) for s in setups] for p in config.policies}
-    bandits = [p for p in traces if policy_variant(p, config) is not None]
     horizon = setups[0].schedule.horizon
     bound = None
     if bandits and config.pool_is_pinned:
@@ -466,9 +462,7 @@ def run_comparison(config: ExperimentConfig):
         pool, schedule = setups[0].pool, setups[0].schedule
         gaps = analysis.compute_gaps(pool, schedule)
         references = [gaps.optimal_means] * len(setups)
-        bound = analysis.regret_bound_table(
-            pool, schedule, np.arange(1, horizon + 1), gaps=gaps, tail_term=config.bound_tail_term
-        )
+        bound = analysis.regret_bound_table(pool, schedule, np.arange(1, horizon + 1), gaps=gaps)
     else:
         references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
 
@@ -513,7 +507,7 @@ def run_comparison(config: ExperimentConfig):
 
 def _summarize(config, traces, identification) -> dict:
     summary = {
-        "config": config.as_dict(),
+        "config": {**config.as_dict(), **RETIRED_SUMMARY_KEYS},
         "budget": next(iter(traces.values()))[0].schedule.budget,
         "policies": {},
     }

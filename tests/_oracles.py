@@ -297,14 +297,14 @@ def reference_run_single(config, policy, seed):
     arrays as the package's run.
     """
     from banditsgd.analysis import RunTrace
-    from banditsgd.harness import SeedSetup, policy_variant, stream_rng
+    from banditsgd.harness import BANDIT_VARIANTS, SeedSetup, stream_rng
     from banditsgd.latency import member_responses, response_vector
     from banditsgd.policies import BanditState, select_superarm_optimal
 
     setup = SeedSetup.build(config, seed)
     pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
     latency_rng = stream_rng(seed, "worker-latency")
-    variant = policy_variant(policy, config)
+    variant = BANDIT_VARIANTS.get(policy)
     is_ksync = policy == "adaptive-ksync"
     n, horizon = pool.n, schedule.horizon
 
@@ -415,18 +415,15 @@ def one_block_tail_rates(t, lam, eps_grid, trials, rng) -> dict:
     return out
 
 
-TAIL_TERMS = {"pi2/3": math.pi**2 / 3.0, "pi/3": math.pi / 3.0}
-
-
-def regret_bound(n, switching_points, delta_max, delta_min, j, *, tail_term="pi2/3") -> float:
+def regret_bound(n, switching_points, delta_max, delta_min, j) -> float:
     """The worst-case bound at one iteration j of the run, from a gap report's ``delta_max`` and ``delta_min``.
 
     Delta_max over started rounds * n * (48 log(j) / min(delta_min^2, delta_min)
-    + 1 + u * tail), u = 1 + the number of switching points before j.
+    + 1 + u * pi^2/3), u = 1 + the number of switching points before j.
     """
     j = float(j)
     u = 1 + sum(1 for t in switching_points if t < j)
     delta_term = max(float(d) for d in delta_max[:u])
     log_val = math.log(j)
     denom = min(delta_min**2, delta_min)
-    return delta_term * n * (48.0 * log_val / denom + 1.0 + u * TAIL_TERMS[tail_term])
+    return delta_term * n * (48.0 * log_val / denom + 1.0 + u * (math.pi**2 / 3.0))

@@ -179,9 +179,6 @@ def test_regret_bound_hand_value():
     sched = RoundSchedule((10,))
     expected = 0.5 * 2 * (48.0 * 1.0 / 0.25 + 1.0 + math.pi**2 / 3.0)
     assert regret_bound(pool, sched, math.e) == pytest.approx(expected, rel=1e-12)
-    smaller = regret_bound(pool, sched, math.e, tail_term="pi/3")
-    assert smaller == pytest.approx(0.5 * 2 * (192.0 + 1.0 + math.pi / 3.0), rel=1e-12)
-    assert smaller < expected
 
 
 def test_regret_bound_monotone():
@@ -198,7 +195,7 @@ def test_regret_bound_requires_unit_rates():
 
 
 def test_regret_bound_curve_matches_scalar():
-    # a 28 000-iteration horizon, both tail terms, every iteration of the run
+    # a 28 000-iteration horizon, every iteration of the run
     pool = WorkerPool(1.0 / np.array([0.9, 0.3, 0.55, 0.1, 0.75, 0.2, 0.45, 0.6]))
     sched = RoundSchedule((1000, 4000, 9000, 17000, 28000))
     gaps = compute_gaps(pool, sched)
@@ -207,21 +204,18 @@ def test_regret_bound_curve_matches_scalar():
     js = np.arange(1, 28001)
     for report in (gaps, reordered):
         inputs = (pool.n, sched.switching_points, report.delta_max, report.delta_min)
-        for tail_term in ("pi2/3", "pi/3"):
-            curve = regret_bound_curve(pool, sched, js, gaps=report, tail_term=tail_term)
-            scalar = [oracle_regret_bound(*inputs, j, tail_term=tail_term) for j in js.tolist()]
-            np.testing.assert_array_equal(curve, scalar)
-            assert regret_bound(pool, sched, 27000.5, gaps=report, tail_term=tail_term) == oracle_regret_bound(
-                *inputs, 27000.5, tail_term=tail_term
-            )
+        curve = regret_bound_curve(pool, sched, js, gaps=report)
+        scalar = [oracle_regret_bound(*inputs, j) for j in js.tolist()]
+        np.testing.assert_array_equal(curve, scalar)
+        assert regret_bound(pool, sched, 27000.5, gaps=report) == oracle_regret_bound(*inputs, 27000.5)
 
 
 def test_regret_bound_table_columns_and_applicability():
     pool = WorkerPool([1.0, 1.5, 3.0])
     sched = RoundSchedule((5, 12, 30))
     js = np.arange(1, 31)
-    table = regret_bound_table(pool, sched, js, tail_term="pi/3")
-    curve = regret_bound_curve(pool, sched, js, tail_term="pi/3")
+    table = regret_bound_table(pool, sched, js)
+    curve = regret_bound_curve(pool, sched, js)
     assert list(table) == ["bound_log_iter", "bound_log_truncated", "bound_tighter"]
     for column in table.values():  # within the horizon the three forms are one curve
         assert column.tobytes() == curve.tobytes()

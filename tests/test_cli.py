@@ -50,9 +50,7 @@ def test_run_schedule_flag_overrides_file(tmp_path, cfg_file):
             "--config",
             cfg_file,
             "--policy",
-            "cmab",
-            "--variant",
-            "scaled",
+            "cmab-scaled",
             "--seed",
             "3",
             "--out",
@@ -130,6 +128,15 @@ def test_compare_writes_tables(tmp_path, cfg_file, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert set(summary["policies"]) == {"cmab-plain", "adaptive-ksync"}
     assert "tables ->" in capsys.readouterr().out
+
+
+def test_compare_summary_keeps_the_retired_config_keys(tmp_path, cfg_file):
+    # summary.json still records the two removed config fields, at the values every run now uses
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_file, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    config = harness.ExperimentConfig.from_file(cfg_file, out_dir=str(out))
+    assert summary["config"] == {**config.as_dict(), "variant": "plain", "bound_tail_term": "pi2/3"}
 
 
 def test_compare_bound_columns_match_bounds_command(tmp_path, monkeypatch):
@@ -366,5 +373,19 @@ def test_help_mentions_mandatory_flags(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     text = capsys.readouterr().out
-    for flag in ("--seed", "--policy", "--out", "--schedule", "--variant"):
+    for flag in ("--seed", "--policy", "--out", "--schedule"):
         assert flag in text
+
+
+@pytest.mark.parametrize("command, reads_schedule", [("run", True), ("compare", True), ("bounds", True), ("verify", False)])
+def test_schedule_flag_only_where_a_schedule_is_read(capsys, command, reads_schedule):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = capsys.readouterr().out
+    assert ("--schedule" in text) == reads_schedule
+    assert "--variant" not in text
+    if not reads_schedule:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--schedule", "1,2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --schedule 1,2" in capsys.readouterr().err

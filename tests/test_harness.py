@@ -90,8 +90,8 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             ExperimentConfig(**bad)
-    with pytest.raises(ValueError, match="bound_tail_term 'pi'"):
-        ExperimentConfig(bound_tail_term="pi")
+    with pytest.raises(ValueError, match="computed schedule mode needs the learning problem"):
+        ExperimentConfig(schedule="computed", simulate_sgd=False)
     for bad_mean in (math.inf, math.nan, 0.0, -0.5):
         with pytest.raises(ValueError, match="worker_means must all be finite and > 0"):
             ExperimentConfig(n=3, b=2, schedule="5,10", worker_means=(0.5, bad_mean, 1.0))
@@ -158,8 +158,7 @@ def test_config_fields_round_trip_through_text():
         d=3,
         eta=2e-4,
         seeds=(3, 5),
-        policies=("cmab", "optimal"),
-        variant="scaled",
+        policies=("cmab-scaled", "optimal"),
         schedule="15,35,60",
         theta=0.2,
         j_cap=5000,
@@ -171,7 +170,6 @@ def test_config_fields_round_trip_through_text():
         pool_seed=4,
         data_seed=7,
         simulate_sgd=False,
-        bound_tail_term="pi/3",
         out_dir="results/x",
         write_traces=False,
         mc_samples=1000,
@@ -186,6 +184,16 @@ def test_config_fields_round_trip_through_text():
         for f in fields:
             assert _same_typed(getattr(parsed, f.name), getattr(config, f.name)), f.name
 
+
+@pytest.mark.parametrize("key, value", [("variant", "plain"), ("bound_tail_term", "pi2/3")])
+def test_retired_knobs_are_unknown_config_keys(tmp_path, key, value):
+    # each bandit policy names its radius variant, and the bound has one tail constant
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        ExperimentConfig.from_mapping({key: value})
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"n = 6\nb = 3\nschedule = 15,35,60\n{key} = {value}\n")
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        ExperimentConfig.from_file(str(path))
 
 
 def test_config_distinct_grid_needs_enough_values():
@@ -323,10 +331,10 @@ TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "
     ],
     ids=["n10-b5", "n50-b20", "one-iteration-round", "b-equals-n", "repeated-means", "coarse-b-equals-n", "n1"],
 )
-@pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "cmab", "optimal", "adaptive-ksync"])
+@pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
     assert len(TRACE_ARRAYS) == 9
-    cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False, variant="scaled")
+    cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False)
     for seed in (0, 5):
         trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
         assert trace.pool.rates.tobytes() == reference.pool.rates.tobytes()
@@ -334,18 +342,6 @@ def test_run_single_matches_per_iteration_reference(shape, policy):
             got, want = getattr(trace, name), getattr(reference, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-
-
-@pytest.mark.parametrize("variant, other", [("plain", "scaled"), ("scaled", "plain")])
-def test_bare_cmab_runs_the_configured_variant(variant, other):
-    cfg = small_config(variant=variant, simulate_sgd=False)
-    for seed in (0, 3):
-        bare = run_single(cfg, "cmab", seed)
-        named, unnamed = run_single(cfg, f"cmab-{variant}", seed), run_single(cfg, f"cmab-{other}", seed)
-        for name in TRACE_ARRAYS:
-            assert getattr(bare, name).tobytes() == getattr(named, name).tobytes(), name
-        # the two variants choose differently here, so a swapped mapping would show
-        assert bare.members.tobytes() != unnamed.members.tobytes()
 
 
 def test_ksync_time_is_kth_smallest_of_full_vector():
@@ -606,6 +602,20 @@ def test_computed_schedules_must_agree_before_any_run(monkeypatch):
     cfg = small_config(schedule="computed", eta=1e-3, seeds=(0, 1))
     with pytest.raises(ValueError, match="computed schedules differ across seeds"):
         run_comparison(cfg)
+
+
+def test_enumeration_cap_is_checked_before_any_run(monkeypatch):
+    def no_setup(*args, **kwargs):
+        raise RuntimeError("a seed was set up")
+
+    monkeypatch.setattr(SeedSetup, "build", no_setup)
+    schedule = ",".join(str(10 * r) for r in range(1, 27))
+    cfg = small_config(n=26, b=26, schedule=schedule, distinct_means=False, seeds=(0, 1))
+    with pytest.raises(ValueError, match="b=26 with a bandit policy; subset enumeration is capped at 25"):
+        run_comparison(cfg)
+    # the analysis that needs the cap runs only for bandit policies
+    with pytest.raises(RuntimeError, match="a seed was set up"):
+        run_comparison(dataclasses.replace(cfg, policies=("optimal", "adaptive-ksync")))
 
 
 def test_run_comparison_needs_two_policies():

@@ -186,7 +186,12 @@ def main(argv=None) -> int:
     for p in (p_run, p_cmp, p_bnd):  # verify reads no schedule
         p.add_argument("--schedule", help="'computed' or comma-separated switching points")
 
-    p_ver = sub.add_parser("verify", help="Monte Carlo oracle suite")
+    p_ver = sub.add_parser(
+        "verify",
+        help="Monte Carlo oracle suite",
+        description="Monte Carlo oracle suite. --config: verify reads mc_lists and mc_samples from "
+        "the file, but validates the whole file as one config, so any invalid key fails.",
+    )
     add_common(p_ver)
     p_ver.add_argument("--lists", type=int, help="random rate lists per closed-form check")
     p_ver.add_argument("--samples", type=int, help="Monte Carlo samples per list")

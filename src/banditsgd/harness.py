@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, sgd
 from .analysis import RunTrace
-from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, member_responses, response_vector
+from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
 from .policies import (
     BanditState,
     RoundSchedule,
@@ -302,13 +302,15 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     bandit and omniscient runs consume r exponential variates (ascending
     member order) from the latency stream, the k-sync baseline n (index
     order), in iteration order; the learning trajectory consumes r*m uniforms
-    from the batch stream whatever the policy. The stream is drawn a round at
-    a time, which consumes it the same way. The omniscient and k-sync
-    policies, whose choices need no feedback, book the round as one block,
-    k-sync as the superarm of all n workers. The bandit draws the round's
-    standard exponentials and hands them to one ``select_superarm_cmab`` call,
-    which steps the round an iteration at a time, scaling each row by the
-    chosen members' means as it picks them.
+    from the batch stream whatever the policy. The stream is drawn in blocks
+    of rows, which consumes it the same way. The omniscient and k-sync
+    policies, whose choices need no feedback, draw and book each round one
+    block of ``block_rows(width)`` rows at a time (the width is r, or n for
+    k-sync, which books the superarm of all n workers), so a round of any
+    length holds one block of draws. The bandit draws the whole round's
+    standard exponentials into the trace's response array and hands them to
+    one ``select_superarm_cmab`` call, which steps the round an iteration at
+    a time, scaling each row by the chosen members' means as it picks them.
 
     The trace shares the setup's read-only arrays rather than copying them:
     ``rounds``, ``member_offsets`` and ``model_errors``, and ``employments``,
@@ -340,15 +342,20 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
             # scaling a standard exponential by the mean is exactly how member_responses draws it
             latency_rng.standard_exponential(out=resp)
             arms[:] = select_superarm_cmab(state, variant, pool, resp)
-        elif is_ksync:
-            draws = response_vector(pool, latency_rng, count)
-            arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
-            resp[:] = np.take_along_axis(draws, arms, axis=1)
-            record_outcome(state, np.arange(n), draws, pool)
         else:
-            arms[:] = arm = select_superarm_optimal(pool, r)
-            resp[:] = member_responses(pool, arm, latency_rng, count)
-            record_outcome(state, arm, resp, pool)
+            # k-sync draws for all n workers and keeps the r fastest of each row
+            arm = np.arange(n) if is_ksync else select_superarm_optimal(pool, r)
+            step = block_rows(arm.size)
+            for i in range(0, count, step):
+                rows, size = slice(i, i + step), min(step, count - i)
+                if is_ksync:
+                    draws = response_vector(pool, latency_rng, size)
+                    arms[rows] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
+                    resp[rows] = np.take_along_axis(draws, arms[rows], axis=1)
+                else:
+                    draws = member_responses(pool, arm, latency_rng, size)
+                    arms[rows], resp[rows] = arm, draws
+                record_outcome(state, arm, draws, pool)
         start = stop
 
     return RunTrace(
@@ -368,16 +375,33 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     )
 
 
+@dataclass(frozen=True)
+class _SuperarmCells:
+    """A trace's superarm column: each iteration's members joined by "|", made a slice of rows at a time."""
+
+    members: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, rows: slice) -> list:
+        lo, hi, _ = rows.indices(len(self))
+        bounds = self.offsets[lo : hi + 1].tolist()
+        base = bounds[0]
+        members = self.members[base : bounds[-1]].tolist()
+        return ["|".join(map(str, members[a - base : b - base])) for a, b in zip(bounds, bounds[1:])]
+
+
 def write_trace_csv(trace: RunTrace, path: str) -> None:
     """Serialize a trace with the fixed header; one row per iteration."""
     horizon = len(trace)
-    members, offsets = trace.members.tolist(), trace.member_offsets.tolist()
     columns = (
         np.arange(1, horizon + 1),
         trace.rounds,
-        [trace.policy] * horizon,
-        [str(trace.seed)] * horizon,
-        ["|".join(map(str, members[lo:hi])) for lo, hi in zip(offsets, offsets[1:])],
+        np.broadcast_to(np.str_(trace.policy), horizon),
+        np.broadcast_to(np.int64(trace.seed), horizon),
+        _SuperarmCells(trace.members, trace.member_offsets),
         trace.response_times,
         trace.cum_times,
         trace.employments,
@@ -532,11 +556,28 @@ def _column_text(column) -> list:
 
 
 def _write_table(path: str, columns: dict) -> None:
-    """CSV with a header row; strings as given, integers as digits, floats as their repr."""
-    cols = [_column_text(c) for c in columns.values()]
-    lines = [",".join(columns)] + [",".join(row) for row in zip(*cols)]
+    """CSV with a header row; strings as given, integers as digits, floats as their repr.
+
+    Each column is an array or a sequence whose slices are lists of cell
+    strings, such as ``_SuperarmCells``. Rows are formatted and written one
+    block of ``block_rows(len(columns))`` rows at a time, so the text held at
+    once follows the block, not the row count.
+    """
+    values = list(columns.values())
+    step = block_rows(len(values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for lo in range(0, len(values[0]), step):
+            fh.write(_rows_text(values, slice(lo, lo + step)))
+
+
+def _rows_text(columns: list, rows: slice) -> str:
+    """The CSV lines of ``rows`` of ``columns``, each ending in a newline.
+
+    The cells are freed when this returns, before the next block's are made.
+    """
+    cells = [_column_text(c[rows]) for c in columns]
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:

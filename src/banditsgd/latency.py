@@ -18,7 +18,9 @@ Its memory is not: the terms of the 2^k - 1 non-empty masks are built and
 summed in blocks of 2^14, combined along numpy's own pairwise-summation
 tree, so the totals are bit-identical to ``np.add.reduce`` over that one
 array while a call holds a few blocks, about 1 MiB, at any list length, and
-frees them when it returns.
+frees them when it returns. That block, ``BLOCK_VALUES``, is the package's
+one budget for working sets that grow with a horizon or a trial count:
+``block_rows(width)`` rows of ``width`` values make one block.
 """
 
 from __future__ import annotations
@@ -30,9 +32,16 @@ import numpy as np
 # 2^25 terms is the largest enumeration we allow before failing loudly;
 # beyond that the caller should rethink, not silently approximate.
 SUBSET_ENUMERATION_CAP = 25
-# The array of subset terms is built and summed in leaves of _BLOCK masks.
+# The package's one block budget: a working set that grows with a horizon, a
+# trial count or a subset count is built BLOCK_VALUES values at a time. The
+# array of subset terms is built and summed in leaves of BLOCK_VALUES masks.
 _BLOCK_BITS = 14
-_BLOCK = 1 << _BLOCK_BITS
+BLOCK_VALUES = 1 << _BLOCK_BITS
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` values that one block holds: ``max(1, BLOCK_VALUES // width)``."""
+    return max(1, BLOCK_VALUES // width)
 
 
 @dataclass(frozen=True)
@@ -160,8 +169,8 @@ def _leaf(table, upper: list, work, start: int, count: int) -> tuple[float, floa
     sums, parity, scratch = work
     pos = start
     while pos < start + count:
-        block, lo = divmod(pos, _BLOCK)
-        hi = min(_BLOCK, start + count - block * _BLOCK)
+        block, lo = divmod(pos, BLOCK_VALUES)
+        hi = min(BLOCK_VALUES, start + count - block * BLOCK_VALUES)
         piece = slice(pos - start, pos - start + hi - lo)
         piece_sums = sums[piece]
         np.copyto(piece_sums, table_sums[lo:hi])
@@ -171,13 +180,13 @@ def _leaf(table, upper: list, work, start: int, count: int) -> tuple[float, floa
                 piece_sums += rate
                 sign = -sign
         np.multiply(table_parity[lo:hi], sign, out=parity[piece])
-        pos = hi + block * _BLOCK
+        pos = hi + block * BLOCK_VALUES
     return _reciprocal_totals(sums[:count], parity[:count], scratch[:count])
 
 
 def _tree(table, upper: list, work, start: int, count: int) -> tuple[float, float]:
     """``_leaf`` totals combined along numpy's pairwise tree (split at ``n//2 - (n//2) % 8``)."""
-    if count <= _BLOCK:
+    if count <= BLOCK_VALUES:
         return _leaf(table, upper, work, start, count)
     half = count // 2
     half -= half % 8
@@ -192,20 +201,20 @@ def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     Returns the p=1 and the p=2 sum, both from one enumeration of the subset
     sums, and bit-identical to ``np.add.reduce`` over the one array of the
     2^k - 1 non-empty masks' terms. That array is summed along numpy's
-    pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves of at
-    most ``_BLOCK`` masks, and only the leaves are built: the sums of the low
-    ``_BLOCK_BITS`` bits come from one table, the higher bits are added one
-    at a time in ascending bit order. Memory is a few arrays of ``_BLOCK``
-    floats, whatever the list length. They are passed to the module-level
-    ``_tree`` and ``_leaf``: a self-calling nested closure over them would sit
-    in a reference cycle and keep them past the return.
+    pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves of
+    at most ``BLOCK_VALUES`` masks, and only the leaves are built: the sums of
+    the low ``_BLOCK_BITS`` bits come from one table, the higher bits are
+    added one at a time in ascending bit order. Memory is a few arrays of
+    ``BLOCK_VALUES`` floats, whatever the list length. They are passed to the
+    module-level ``_tree`` and ``_leaf``: a self-calling nested closure over
+    them would sit in a reference cycle and keep them past the return.
     """
     table = _subset_table(rates[:_BLOCK_BITS])
     if rates.size <= _BLOCK_BITS:  # every non-empty subset fits one leaf
         table_sums, table_parity = table
         first, second = _reciprocal_totals(table_sums[1:], table_parity[1:], np.empty(table_sums.size - 1))
     else:
-        work = (np.empty(_BLOCK), np.empty(_BLOCK), np.empty(_BLOCK))
+        work = (np.empty(BLOCK_VALUES), np.empty(BLOCK_VALUES), np.empty(BLOCK_VALUES))
         first, second = _tree(table, rates[_BLOCK_BITS:].tolist(), work, 1, (1 << rates.size) - 1)
     # (-1)^(|S|-1) = -(-1)^|S|
     return -first, -second

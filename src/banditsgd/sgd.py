@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .latency import block_rows
+
 logger = logging.getLogger(__name__)
 
 
@@ -160,8 +162,9 @@ def run_trajectory(problem: SgdProblem, rounds: np.ndarray, rng: np.random.Gener
     w = problem.w0.copy()
     step_base = problem.eta / problem.s
     for j, r in enumerate(rounds.tolist(), start=1):
-        batches = sample_batches(problem, r, rng)
-        w = w - (step_base / r) * batch_gradient(problem, w, batches)
+        # no name holds the batches, so their (r, m) argpartition base is freed
+        # before the next iteration draws its keys
+        w = w - (step_base / r) * batch_gradient(problem, w, sample_batches(problem, r, rng))
         err = model_error(problem, w)
         if not math.isfinite(err):
             raise ValueError(f"model error is {err} at iteration {j}; eta={problem.eta} is too large to converge")
@@ -192,7 +195,9 @@ def estimate_bound_params(problem: SgdProblem) -> BoundParams:
     so the effective descent objective is the per-sample average loss F/m.
     Curvatures are therefore the extreme eigenvalues of X^T X / m, sigma^2 the
     exact variance of a single-sample gradient at w0, and the initial gap the
-    per-sample objective suboptimality at w0. All estimates are logged.
+    per-sample objective suboptimality at w0. All estimates are logged. The
+    squared row norms are summed one block of rows (``block_rows(d)``) at a
+    time, so no ``(m, d)`` temporary is built.
     """
     m = problem.m
     second_moment = problem.X.T @ problem.X / m
@@ -203,7 +208,11 @@ def estimate_bound_params(problem: SgdProblem) -> BoundParams:
 
     resid0 = problem.X @ problem.w0 - problem.y
     mean_grad = problem.X.T @ resid0 / m
-    mean_sq_norm = float(((resid0**2) * (problem.X**2).sum(axis=1)).mean())
+    row_sq_norms = np.empty(m)
+    step = block_rows(problem.d)
+    for lo in range(0, m, step):
+        row_sq_norms[lo : lo + step] = np.square(problem.X[lo : lo + step]).sum(axis=1)
+    mean_sq_norm = float(((resid0**2) * row_sq_norms).mean())
     sigma2 = mean_sq_norm - float(mean_grad @ mean_grad)
     resid_opt = problem.X @ problem.least_squares_target - problem.y
     initial_gap = (0.5 * float(resid0 @ resid0) - 0.5 * float(resid_opt @ resid_opt)) / m

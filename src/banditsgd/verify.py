@@ -4,7 +4,10 @@ Each check draws fresh samples and compares an empirical statistic with the
 corresponding exact formula or bound, passing when the discrepancy stays
 within three standard errors (checks over many random instances allow a 1%
 miss rate, which is what a 3-sigma rule predicts). A comparison that yields
-NaN, as with too few samples for a standard error, counts as a miss.
+NaN, as with too few samples for a standard error, counts as a miss. The
+tail check's ``(trials, t)`` variates are drawn one block of
+``latency.BLOCK_VALUES`` at a time, so its memory follows the block, not the
+trial count.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import subgamma_tail, subgaussian_tail
-from .latency import WorkerPool, expected_max, response_vector, variance_of_max
-
-
-_TAIL_BLOCK_ROWS = 4096
+from .latency import WorkerPool, block_rows, expected_max, response_vector, variance_of_max
 
 
 @dataclass
@@ -103,16 +103,19 @@ def empirical_mean_tail_rates(
     The centered mean sits in the sub-gamma class (variance 1/(t lam^2), scale
     1/(t lam)) on the right and the sub-Gaussian class (same variance) on the
     left, so each observed frequency should respect the matching bound.
-    The ``(trials, t)`` variates are drawn in blocks of at most
-    ``_TAIL_BLOCK_ROWS`` rows; rows fill the stream in order, so the row
-    means and the generator state after equal those of one block.
+    The ``(trials, t)`` variates are drawn one block at a time, in
+    ``block_rows(t)`` rows of ``t``, so a call holds one block of variates
+    whatever ``t`` and ``trials``; rows fill the stream in order, so the row
+    means and the generator state after equal those of one ``(trials, t)``
+    draw.
     """
-    row_means = np.empty(trials)
-    for lo in range(0, trials, _TAIL_BLOCK_ROWS):
-        rows = min(_TAIL_BLOCK_ROWS, trials - lo)
-        row_means[lo : lo + rows] = rng.standard_exponential((rows, t)).mean(axis=1)
-    draws = row_means / lam
-    centered = draws - 1.0 / lam
+    centered = np.empty(trials)
+    step = block_rows(t)
+    for lo in range(0, trials, step):
+        rows = min(step, trials - lo)
+        centered[lo : lo + rows] = rng.standard_exponential((rows, t)).mean(axis=1)
+    centered /= lam  # the row means of the draws, then centered, in place
+    centered -= 1.0 / lam
     sigma2 = 1.0 / (t * lam * lam)
     scale = 1.0 / (t * lam)
     out = {}

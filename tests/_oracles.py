@@ -363,8 +363,11 @@ def _cell(v) -> str:
 
 
 def write_table_by_cell(path, columns) -> None:
-    """``harness._write_table`` formatting one value at a time, row by row."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    """``harness._write_table`` formatting one value at a time, row by row, all rows at once.
+
+    A column that is not an array is taken as one slice of all its rows.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c[: len(c)] for c in columns.values()]
     lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in zip(*cols)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

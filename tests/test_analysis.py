@@ -21,10 +21,11 @@ from banditsgd.analysis import (
 )
 from banditsgd.cli import main
 from banditsgd.harness import ExperimentConfig, run_single
-from banditsgd.latency import WorkerPool, expected_max, variance_of_max
+from banditsgd.latency import BLOCK_VALUES, WorkerPool, block_rows, expected_max, variance_of_max
 from banditsgd.policies import RoundSchedule, select_superarm_optimal
 from banditsgd.verify import empirical_mean_tail_rates
 
+from _memory import traced_call
 from _oracles import delta_min_exhaustive, one_block_tail_rates
 from _oracles import regret_bound as oracle_regret_bound
 
@@ -355,9 +356,9 @@ def test_subgaussian_tail_values():
         subgaussian_tail(-1.0, 1.0)
 
 
-@pytest.mark.parametrize("trials", [1, 7, 4096, 4097, 20_000])
+@pytest.mark.parametrize("trials", [1, 7, block_rows(64) + 1, block_rows(4), block_rows(4) + 1, 20_000])
 def test_tail_rates_stream_equals_one_block(trials):
-    # row blocks consume the stream as one (trials, t) block does
+    # blocks of block_rows(t) rows consume the stream as one (trials, t) block does
     eps_grid = (0.25, 0.5, 1.0, 2.0)
     for t, lam in ((4, 1.0), (64, 2.0)):
         streamed_rng, block_rng = np.random.default_rng(trials), np.random.default_rng(trials)
@@ -365,3 +366,12 @@ def test_tail_rates_stream_equals_one_block(trials):
         block = one_block_tail_rates(t, lam, eps_grid, trials, block_rng)
         assert repr(streamed) == repr(block)
         assert streamed_rng.bit_generator.state == block_rng.bit_generator.state
+
+
+def test_tail_rates_memory_follows_the_block():
+    # one block of variates plus the trials' centered means; blocks of 4096
+    # rows would hold 2 MiB of variates at t=64
+    trials = 20_000
+    rng = np.random.default_rng(3)
+    _, peak, _ = traced_call(lambda: empirical_mean_tail_rates(64, 1.0, (0.5, 1.0), trials, rng))
+    assert peak <= 2 * (BLOCK_VALUES + trials) * 8, f"the tail rates traced {peak / 2**20:.2f} MiB"

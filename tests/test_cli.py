@@ -343,6 +343,19 @@ def test_verify_too_few_samples_fails(capsys):
     assert "FAIL fastest and slowest response vs closed forms: no samples" in capsys.readouterr().out
 
 
+def test_verify_config_validates_the_whole_file(tmp_path, capsys):
+    # verify reads only mc_lists and mc_samples, yet the file is one config: a schedule
+    # that does not fit b fails before any check runs
+    cfg = _mini_cfg(tmp_path, "schedule = 1,2\nmc_lists = 2\nmc_samples = 100\n")
+    assert main(["verify", "--config", cfg, "--trials", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: schedule lists 2 switching points but b=20\n"
+    assert "PASS" not in captured.out
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "validates the whole file" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_rejects_negative_seed(capsys):
     rc = main(["verify", "--lists", "4", "--samples", "100", "--trials", "100", "--seed", "-1"])
     assert rc == 2

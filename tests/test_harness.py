@@ -29,10 +29,12 @@ from banditsgd.harness import (
     write_comparison_tables,
     write_trace_csv,
 )
+from banditsgd.latency import BLOCK_VALUES, block_rows
 from banditsgd.policies import BanditState, RoundSchedule, compute_schedule, record_outcome
 from banditsgd.sgd import sample_batches
 
 from _garbage import cyclic_package_garbage
+from _memory import traced_call
 from _oracles import (
     apply_update,
     model_error,
@@ -317,6 +319,18 @@ def test_trace_structure_and_bookkeeping():
 TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray")
 
 
+def _block_seam_points(n):
+    """Switching points for n = b workers that put rounds across the draw blocks of ``run_single``.
+
+    Rounds 1 .. n-3 take one iteration each. Round n-2 is one k-sync block
+    long (``block_rows(n)`` rows of n draws), round n-1 one omniscient block
+    (``block_rows(n - 1)`` rows of r = n-1) and several k-sync blocks, and
+    round n one block plus one row for both (r = n).
+    """
+    lengths = [1] * (n - 3) + [block_rows(n), block_rows(n - 1), block_rows(n) + 1]
+    return ",".join(map(str, np.cumsum(lengths)))
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -328,8 +342,18 @@ TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "
         dict(n=12, b=4, schedule="20,50,90,140", mean_step=0.1, distinct_means=False),
         dict(n=9, b=9, schedule="1,2,3,4,5,6,7,8,9", mean_step=0.1, distinct_means=False),
         dict(n=1, b=1, schedule="40", mean_step=0.1),
+        dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01),
     ],
-    ids=["n10-b5", "n50-b20", "one-iteration-round", "b-equals-n", "repeated-means", "coarse-b-equals-n", "n1"],
+    ids=[
+        "n10-b5",
+        "n50-b20",
+        "one-iteration-round",
+        "b-equals-n",
+        "repeated-means",
+        "coarse-b-equals-n",
+        "n1",
+        "block-seams",
+    ],
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
@@ -511,16 +535,51 @@ def test_run_comparison_tables(tmp_path):
 
 
 def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
-    # every table of a comparison, written by columns and by the per-value oracle
+    # every table of a comparison, and a trace of several write blocks and one
+    # row, written a block of rows at a time and by the per-value oracle
     cfg = small_config(out_dir=str(tmp_path / "columns"), pool_seed=5, seeds=(0, 1))
     result = run_comparison(cfg)
+    rows = 3 * block_rows(len(TRACE_HEADER.split(","))) + 1
+    long_trace = run_single(small_config(schedule=f"{rows // 3},{2 * rows // 3},{rows}"), "cmab-plain", 0)
+    write_trace_csv(long_trace, str(tmp_path / "columns" / "long.csv"))
     monkeypatch.setattr(harness, "_write_table", write_table_by_cell)
     write_comparison_tables(result, dataclasses.replace(cfg, out_dir=str(tmp_path / "cells")))
+    write_trace_csv(long_trace, str(tmp_path / "cells" / "long.csv"))
     names = sorted(os.listdir(tmp_path / "columns"))
     assert names == sorted(os.listdir(tmp_path / "cells"))
-    assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1  # traces, curves, profiles, regret
+    assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1 + 1  # traces, curves, profiles, regret, long
     for name in names:
         assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def paper_scale_setup():
+    """The benchmark's latency-only shape, seed 0: 28 000 iterations, a final round of 9 000."""
+    config = ExperimentConfig.from_file(BENCHMARK_CFG, simulate_sgd=False, pool_seed=0)
+    return config, SeedSetup.build(config, 0)
+
+
+@pytest.mark.parametrize("policy", ["optimal", "adaptive-ksync"])
+def test_feedback_free_rounds_hold_one_block_of_draws(paper_scale_setup, policy):
+    # beyond the trace it returns, a run holds a block of draws and record_outcome's
+    # stacked copies of it; drawing a (9000, n) round at once would hold 20
+    # (omniscient) and 80 (k-sync) blocks
+    config, setup = paper_scale_setup
+    assert setup.schedule.round_lengths()[-1] == 9000
+    _, peak, held = traced_call(functools.partial(run_single, config, policy, 0, setup))
+    assert peak - held <= 4 * BLOCK_VALUES * 8, f"{policy} traced {(peak - held) / 2**20:.2f} MiB over its trace"
+
+
+def test_trace_writer_holds_one_block_of_text(paper_scale_setup, tmp_path):
+    # one block of 2^14 cells as Python strings, in their rows and in the
+    # block's joined text: about 110 bytes a cell. All 28 000 rows at once
+    # would come to 29 MiB
+    config, setup = paper_scale_setup
+    trace = run_single(config, "adaptive-ksync", 0, setup)
+    path = str(tmp_path / "trace.csv")
+    _, peak, _ = traced_call(lambda: write_trace_csv(trace, path))
+    assert len(trace) == 28_000
+    assert peak <= 192 * BLOCK_VALUES, f"writing the trace traced {peak / 2**20:.2f} MiB"
 
 
 def test_hot_paths_leave_no_package_cycles(tmp_path):

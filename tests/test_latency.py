@@ -2,7 +2,6 @@
 
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from banditsgd.latency import (
 from banditsgd.verify import check_order_statistics, mc_max_mean, mc_max_samples
 
 from _garbage import cyclic_package_garbage
+from _memory import traced_call
 from _oracles import (
     brute_expected_max,
     brute_variance_of_max,
@@ -272,17 +272,15 @@ def test_max_moments_memory_is_bounded_by_the_block():
     # one call holds a few blocks, and returning frees them: with the cyclic
     # collector off, consecutive calls must not pile up their buffers
     rates = 1.0 / (np.arange(1, 21) / 20.0)
-    max_moments(rates)  # warm imports and caches outside the trace
     with cyclic_package_garbage() as left:
-        tracemalloc.start()
-        try:
-            max_moments(rates)
-            start, peak = tracemalloc.get_traced_memory()
+        _, peak, _ = traced_call(lambda: max_moments(rates))
+
+        def first_calls_at_new_lengths():
             for k in range(15, 23):
                 max_moments(1.0 / (np.arange(1, k + 1) / k))
-            growth = tracemalloc.get_traced_memory()[0] - start
-        finally:
-            tracemalloc.stop()
+
+        # warm up only k=20, so what the first call at each new length keeps is traced
+        _, _, growth = traced_call(first_calls_at_new_lengths, warm_up=lambda: max_moments(rates))
     assert peak <= 4 * 2**20, f"a 20-rate max_moments traced {peak / 2**20:.1f} MiB"
     assert growth <= 0.5 * 2**20, f"eight calls (k = 15..22) still held {growth / 2**20:.2f} MiB after returning"
     assert not left, f"max_moments left package objects to the cyclic collector: {left}"

@@ -1,7 +1,6 @@
 """Selection policies, bandit bookkeeping, and round scheduling."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from banditsgd.policies import (
 )
 from banditsgd.sgd import BoundParams
 
+from _memory import traced_call
 from _oracles import (
     book_iteration,
     confidence_radius,
@@ -234,13 +234,10 @@ def test_round_step_temporaries_are_o_l_r(n):
     rng = np.random.default_rng(4)
     pool = WorkerPool(rng.uniform(1.0, 10.0, n))
     state, draws = BanditState.zeros(n), rng.standard_exponential((iterations, r))
-    select_superarm_cmab(BanditState.zeros(n), "plain", pool, np.ones((2, r)))  # warm caches outside the trace
-    tracemalloc.start()
-    try:
-        arms = select_superarm_cmab(state, "plain", pool, draws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    arms, peak, _ = traced_call(
+        lambda: select_superarm_cmab(state, "plain", pool, draws),
+        warm_up=lambda: select_superarm_cmab(BanditState.zeros(n), "plain", pool, np.ones((2, r))),
+    )
     assert state.suboptimal_pulls.sum() > 0  # the charge ran
     assert peak <= 2.5 * arms.nbytes, f"the round step traced {peak / arms.nbytes:.2f} times its (L, r) arms"
 

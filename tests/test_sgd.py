@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from banditsgd.latency import BLOCK_VALUES
 from banditsgd.sgd import (
     BoundParams,
     SgdProblem,
@@ -17,6 +18,7 @@ from banditsgd.sgd import (
 )
 
 import _oracles
+from _memory import traced_call
 from _oracles import apply_update, central_difference_gradient, loss, partial_gradient
 
 
@@ -210,3 +212,11 @@ def test_estimate_bound_params_sane():
     assert params.s == p.s
     # the initial gap measures the per-sample objective suboptimality
     assert params.initial_gap == pytest.approx((loss(p, p.w0) - loss(p, p.least_squares_target)) / p.m)
+
+
+def test_estimate_bound_params_memory_follows_the_block():
+    # squared row norms a block of rows at a time: an (m, d) temporary would
+    # be 1.6 MB (12 blocks) at the benchmark's m=2000, d=100
+    p = make_problem(m=2000, d=100, b=20, eta=1e-4, seed=2)
+    _, peak, _ = traced_call(lambda: estimate_bound_params(p))
+    assert peak <= 3 * BLOCK_VALUES * 8, f"estimate_bound_params traced {peak / 2**20:.2f} MiB"

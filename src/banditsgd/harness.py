@@ -463,11 +463,16 @@ def run_comparison(config: ExperimentConfig):
     Computed schedules must agree across seeds, and a bandit policy's regret
     analysis needs b <= ``SUBSET_ENUMERATION_CAP``; both are checked before any run.
 
+    One pass per policy runs its seeds, writes their trace CSVs and builds
+    everything the tables and ``summary.json`` take from them; the policy's
+    traces are freed before the next policy runs, so at most one policy's
+    traces are held at once.
+
     Returns a dict with per-policy seed-averaged error curves (indexed by
     iteration, wall-clock time, and cumulative employments), per-worker
     employment profiles sorted fastest to slowest, mean regret curves with
     the worst-case guarantee when the pool is pinned and satisfies its
-    assumptions, and fastest-worker identification reports.
+    assumptions, and the summary, fastest-worker identification included.
     """
     if len(config.policies) < 2:
         raise ValueError("comparison needs at least two policies")
@@ -477,7 +482,6 @@ def run_comparison(config: ExperimentConfig):
     setups = [SeedSetup.build(config, s) for s in config.seeds]
     if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
-    traces = {p: [run_single(config, p, s.seed, s) for s in setups] for p in config.policies}
     horizon = setups[0].schedule.horizon
     bound = None
     if bandits and config.pool_is_pinned:
@@ -490,62 +494,56 @@ def run_comparison(config: ExperimentConfig):
     else:
         references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
 
-    error_curves = {}
-    employment_profiles = {}
-    regret_tables = {}
-    identification = {}
-    for policy, runs in traces.items():
-        error_curves[policy] = {
+    result = {"error_curves": {}, "employment_profiles": {}, "regret": {}}
+    summary = result["summary"] = {
+        "config": {**config.as_dict(), **RETIRED_SUMMARY_KEYS},
+        "budget": setups[0].schedule.budget,
+        "policies": {},
+        "identification": {},
+    }
+    for policy in config.policies:
+        runs = [run_single(config, policy, s.seed, s) for s in setups]
+        if config.out_dir and config.write_traces:
+            os.makedirs(config.out_dir, exist_ok=True)
+            for trace in runs:
+                write_trace_csv(trace, os.path.join(config.out_dir, f"trace_{policy}_{trace.seed}.csv"))
+        result["error_curves"][policy] = {
             "iter": np.arange(1, horizon + 1),
             "cum_time_mean": np.mean([t.cum_times for t in runs], axis=0),
             "cum_employments": runs[0].cum_employments.copy(),
             "model_error_mean": np.mean([t.model_errors for t in runs], axis=0),
         }
         if policy != "adaptive-ksync":
-            employment_profiles[policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
-        if policy in bandits:
-            identification[policy] = identify_fastest(runs)
-            # regret of each run is measured against its own pool's optimum,
-            # so per-seed pools average cleanly
-            per_run = [
-                analysis.empirical_regret(t, s.pool, s.schedule, ref) for t, s, ref in zip(runs, setups, references)
-            ]
-            regret_tables[policy] = {
-                "iter": np.arange(1, horizon + 1),
-                "mean_regret": np.mean(per_run, axis=0),
-                **(bound or {}),
-            }
-
-    result = {
-        "traces": traces,
-        "error_curves": error_curves,
-        "employment_profiles": employment_profiles,
-        "regret": regret_tables,
-        "identification": identification,
-        "summary": _summarize(config, traces, identification),
-    }
-    if config.out_dir:
-        write_comparison_tables(result, config)
-    return result
-
-
-def _summarize(config, traces, identification) -> dict:
-    summary = {
-        "config": {**config.as_dict(), **RETIRED_SUMMARY_KEYS},
-        "budget": next(iter(traces.values()))[0].schedule.budget,
-        "policies": {},
-    }
-    for policy, runs in traces.items():
-        entry = {
+            result["employment_profiles"][policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
+        entry = summary["policies"][policy] = {
             "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])),
             "final_time_mean": float(np.mean([t.cum_times[-1] for t in runs])),
             "total_employments": int(runs[0].cum_employments[-1]),
             "suboptimal_pulls_mean": float(np.mean([t.suboptimal_count for t in runs])),
         }
-        if policy in identification:
-            entry["identification_accuracy"] = identification[policy].mean_accuracy
-        summary["policies"][policy] = entry
-    return summary
+        if policy in bandits:
+            report = identify_fastest(runs)
+            entry["identification_accuracy"] = report.mean_accuracy
+            summary["identification"][policy] = {
+                "mean_accuracy": report.mean_accuracy,
+                "exact_matches": report.exact_matches,
+                "identified": [arr.tolist() for arr in report.identified],
+            }
+            # regret of each run is measured against its own pool's optimum,
+            # so per-seed pools average cleanly
+            per_run = [
+                analysis.empirical_regret(t, s.pool, s.schedule, ref) for t, s, ref in zip(runs, setups, references)
+            ]
+            result["regret"][policy] = {
+                "iter": np.arange(1, horizon + 1),
+                "mean_regret": np.mean(per_run, axis=0),
+                **(bound or {}),
+            }
+        runs = trace = None  # free this policy's traces before the next policy's runs
+
+    if config.out_dir:
+        write_comparison_tables(result, config)
+    return result
 
 
 def _column_text(column) -> list:
@@ -581,12 +579,12 @@ def _rows_text(columns: list, rows: slice) -> str:
 
 
 def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:
+    """Write a comparison's error curves, employment profiles, regret tables and summary.
+
+    The trace CSVs are written by ``run_comparison``'s pass over each policy.
+    """
     out = config.out_dir
     os.makedirs(out, exist_ok=True)
-    if config.write_traces:
-        for policy, runs in result["traces"].items():
-            for trace in runs:
-                write_trace_csv(trace, os.path.join(out, f"trace_{policy}_{trace.seed}.csv"))
     for policy, cols in result["error_curves"].items():
         _write_table(os.path.join(out, f"error_curve_{policy}.csv"), cols)
     for policy, profile in result["employment_profiles"].items():
@@ -596,15 +594,6 @@ def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:
         )
     for policy, cols in result["regret"].items():
         _write_table(os.path.join(out, f"regret_{policy}.csv"), cols)
-    payload = dict(result["summary"])
-    payload["identification"] = {
-        policy: {
-            "mean_accuracy": report.mean_accuracy,
-            "exact_matches": report.exact_matches,
-            "identified": [arr.tolist() for arr in report.identified],
-        }
-        for policy, report in result["identification"].items()
-    }
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(result["summary"], fh, indent=2, sort_keys=True)
     logger.info("comparison tables written to %s", out)

@@ -31,13 +31,15 @@ class CheckResult:
 def mc_max_samples(rates, samples: int, rng: np.random.Generator) -> np.ndarray:
     """``samples`` draws of the maximum of independent exponentials.
 
-    Accumulates one rate at a time so memory stays at O(samples).
+    Accumulates one rate at a time, each rate's draws into one reused
+    buffer, so a call holds two sample-sized arrays whatever the rate count.
     """
     rates = np.atleast_1d(np.asarray(rates, dtype=np.float64))
     acc = rng.standard_exponential(samples)
     acc /= rates[0]
+    nxt = np.empty_like(acc)
     for lam in rates[1:]:
-        nxt = rng.standard_exponential(samples)
+        rng.standard_exponential(out=nxt)
         nxt /= lam
         np.maximum(acc, nxt, out=acc)
     return acc
@@ -52,8 +54,9 @@ def mc_max_mean(rates, samples: int, rng: np.random.Generator) -> tuple[float, f
 def mc_max_variance(rates, samples: int, rng: np.random.Generator) -> tuple[float, float]:
     """(Monte Carlo variance, its standard error via the fourth moment)."""
     draws = mc_max_samples(rates, samples, rng)
-    centered_sq = (draws - draws.mean()) ** 2
-    return float(centered_sq.mean()), float(centered_sq.std(ddof=1) / math.sqrt(samples))
+    draws -= draws.mean()  # centered and squared in place: no second sample-sized array
+    np.square(draws, out=draws)
+    return float(draws.mean()), float(draws.std(ddof=1) / math.sqrt(samples))
 
 
 def check_closed_form(exact, sampled, lists: int, samples: int, rng: np.random.Generator) -> CheckResult:

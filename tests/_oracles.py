@@ -6,7 +6,7 @@ finite differences or per-batch row gathers, LCBs one worker at a time or
 as one vector per iteration, gaps via explicit enumeration, runs one
 iteration and one draw call at a time, moments from whole 2^k arrays, numpy's
 summation rule in Python floats, tail draws as one block, tables one cell at
-a time.
+a time, comparisons from every run's trace held at once.
 Keep these free of any dependence on the implementation paths they check.
 """
 
@@ -353,6 +353,58 @@ def reference_run_single(config, policy, seed):
     )
 
 
+def reference_comparison(config) -> tuple[dict, dict]:
+    """``harness.run_comparison``'s tables and summary from separately held ``run_single`` traces.
+
+    Every policy's runs are kept, each built without a shared setup; the
+    seed averages are ``np.mean`` over the runs in seed order, regret is
+    ``empirical_regret`` against each run's own ``round_reference_means``,
+    and identification is ``identify_fastest`` over the policy's runs.
+    Returns ``(tables, summary)``: the error curves, employment profiles
+    and regret tables by kind, and the ``summary.json`` payload.
+    """
+    from banditsgd.analysis import empirical_regret, regret_bound_table
+    from banditsgd.harness import BANDIT_VARIANTS, RETIRED_SUMMARY_KEYS, identify_fastest, run_single
+
+    traces = {p: [run_single(config, p, s) for s in config.seeds] for p in config.policies}
+    first = traces[config.policies[0]][0]
+    iters = np.arange(1, first.schedule.horizon + 1)
+    bound = regret_bound_table(first.pool, first.schedule, iters) if config.pool_is_pinned else {}
+    tables = {"error_curves": {}, "employment_profiles": {}, "regret": {}}
+    summary = {
+        "config": {**config.as_dict(), **RETIRED_SUMMARY_KEYS},
+        "budget": first.schedule.budget,
+        "policies": {},
+        "identification": {},
+    }
+    for policy, runs in traces.items():
+        tables["error_curves"][policy] = {
+            "iter": iters,
+            "cum_time_mean": np.mean([t.cum_times for t in runs], axis=0),
+            "cum_employments": runs[0].cum_employments,
+            "model_error_mean": np.mean([t.model_errors for t in runs], axis=0),
+        }
+        if policy != "adaptive-ksync":
+            tables["employment_profiles"][policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
+        summary["policies"][policy] = {
+            "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])),
+            "final_time_mean": float(np.mean([t.cum_times[-1] for t in runs])),
+            "total_employments": int(runs[0].cum_employments[-1]),
+            "suboptimal_pulls_mean": float(np.mean([t.suboptimal_count for t in runs])),
+        }
+        if policy in BANDIT_VARIANTS:
+            report = identify_fastest(runs)
+            summary["policies"][policy]["identification_accuracy"] = report.mean_accuracy
+            summary["identification"][policy] = {
+                "mean_accuracy": report.mean_accuracy,
+                "exact_matches": report.exact_matches,
+                "identified": [arr.tolist() for arr in report.identified],
+            }
+            regrets = [empirical_regret(t, t.pool, t.schedule) for t in runs]
+            tables["regret"][policy] = {"iter": iters, "mean_regret": np.mean(regrets, axis=0), **bound}
+    return tables, summary
+
+
 # ---------------------------------------------------------------- output layer
 
 
@@ -398,6 +450,15 @@ def delta_min_exhaustive(pool, b) -> float:
                 if member_means[v] > opt[v]:
                     best = min(best, member_means[v] - opt[v])
     return best
+
+
+def fresh_buffer_mc_max_samples(rates, samples, rng) -> np.ndarray:
+    """``verify.mc_max_samples`` with a fresh array for each rate's draws."""
+    rates = np.atleast_1d(np.asarray(rates, dtype=np.float64))
+    acc = rng.standard_exponential(samples) / rates[0]
+    for lam in rates[1:]:
+        acc = np.maximum(acc, rng.standard_exponential(samples) / lam)
+    return acc
 
 
 def one_block_tail_rates(t, lam, eps_grid, trials, rng) -> dict:

@@ -23,10 +23,10 @@ from banditsgd.cli import main
 from banditsgd.harness import ExperimentConfig, run_single
 from banditsgd.latency import BLOCK_VALUES, WorkerPool, block_rows, expected_max, variance_of_max
 from banditsgd.policies import RoundSchedule, select_superarm_optimal
-from banditsgd.verify import empirical_mean_tail_rates
+from banditsgd.verify import empirical_mean_tail_rates, mc_max_samples, mc_max_variance
 
 from _memory import traced_call
-from _oracles import delta_min_exhaustive, one_block_tail_rates
+from _oracles import delta_min_exhaustive, fresh_buffer_mc_max_samples, one_block_tail_rates
 from _oracles import regret_bound as oracle_regret_bound
 
 
@@ -375,3 +375,26 @@ def test_tail_rates_memory_follows_the_block():
     rng = np.random.default_rng(3)
     _, peak, _ = traced_call(lambda: empirical_mean_tail_rates(64, 1.0, (0.5, 1.0), trials, rng))
     assert peak <= 2 * (BLOCK_VALUES + trials) * 8, f"the tail rates traced {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("rates", [[2.0], [0.7, 3.0], [1.0, 2.5, 4.0, 9.5], list(np.linspace(0.5, 10.0, 8))])
+def test_mc_max_buffer_equals_fresh_draws(rates):
+    # one reused draw buffer, and centering in place, give the same floats and
+    # leave the generator where fresh arrays leave it
+    samples = 1001
+    reused_rng, fresh_rng = np.random.default_rng(len(rates)), np.random.default_rng(len(rates))
+    draws, fresh = mc_max_samples(rates, samples, reused_rng), fresh_buffer_mc_max_samples(rates, samples, fresh_rng)
+    assert np.array_equal(draws, fresh)
+    assert reused_rng.bit_generator.state == fresh_rng.bit_generator.state
+    centered_sq = (fresh - fresh.mean()) ** 2
+    expected = (float(centered_sq.mean()), float(centered_sq.std(ddof=1) / math.sqrt(samples)))
+    assert mc_max_variance(rates, samples, np.random.default_rng(len(rates))) == expected
+
+
+def test_mc_max_variance_holds_two_sample_arrays():
+    # the accumulator and one reused draw buffer, then the draws and std's one
+    # temporary; a fresh array per rate, or centering out of place, holds three
+    samples = 100_000
+    rng = np.random.default_rng(5)
+    _, peak, _ = traced_call(lambda: mc_max_variance(np.linspace(0.5, 10.0, 8), samples, rng))
+    assert peak <= 2.2 * samples * 8, f"mc_max_variance traced {peak / 2**20:.2f} MiB"

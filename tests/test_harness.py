@@ -4,10 +4,12 @@ import csv
 import dataclasses
 import functools
 import glob
+import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -26,7 +28,6 @@ from banditsgd.harness import (
     run_comparison,
     run_single,
     stream_rng,
-    write_comparison_tables,
     write_trace_csv,
 )
 from banditsgd.latency import BLOCK_VALUES, block_rows
@@ -39,6 +40,7 @@ from _oracles import (
     apply_update,
     model_error,
     partial_gradient,
+    reference_comparison,
     reference_run_single,
     responses_at,
     superarm_at,
@@ -516,7 +518,8 @@ def test_error_at_employments():
 def test_run_comparison_tables(tmp_path):
     cfg = small_config(out_dir=str(tmp_path / "out"), pool_seed=5, seeds=(0, 1))
     result = run_comparison(cfg)
-    assert set(result["traces"]) == set(cfg.policies)
+    assert set(result) == {"error_curves", "employment_profiles", "regret", "summary"}
+    assert set(result["error_curves"]) == set(cfg.policies)
     curves = result["error_curves"]["cmab-plain"]
     assert curves["iter"].size == 60
     # omniscient policy employs only the fastest workers
@@ -528,27 +531,29 @@ def test_run_comparison_tables(tmp_path):
     assert np.all(regret["bound_tighter"] <= regret["bound_log_iter"] + 1e-12)
     out = tmp_path / "out"
     assert (out / "summary.json").exists()
-    assert (out / "trace_cmab-plain_0.csv").exists()
+    assert all((out / f"trace_{p}_{s}.csv").exists() for p in cfg.policies for s in cfg.seeds)
     assert (out / "error_curve_adaptive-ksync.csv").exists()
     assert (out / "regret_cmab-plain.csv").exists()
     assert (out / "employments_optimal.csv").exists()
 
 
 def test_column_writer_matches_per_cell_writer(tmp_path, monkeypatch):
-    # every table of a comparison, and a trace of several write blocks and one
-    # row, written a block of rows at a time and by the per-value oracle
+    # every table and trace of a comparison, and a trace of several write
+    # blocks and one row, written a block of rows at a time and by the
+    # per-value oracle
     cfg = small_config(out_dir=str(tmp_path / "columns"), pool_seed=5, seeds=(0, 1))
-    result = run_comparison(cfg)
+    run_comparison(cfg)
     rows = 3 * block_rows(len(TRACE_HEADER.split(","))) + 1
     long_trace = run_single(small_config(schedule=f"{rows // 3},{2 * rows // 3},{rows}"), "cmab-plain", 0)
     write_trace_csv(long_trace, str(tmp_path / "columns" / "long.csv"))
     monkeypatch.setattr(harness, "_write_table", write_table_by_cell)
-    write_comparison_tables(result, dataclasses.replace(cfg, out_dir=str(tmp_path / "cells")))
+    run_comparison(dataclasses.replace(cfg, out_dir=str(tmp_path / "cells")))
     write_trace_csv(long_trace, str(tmp_path / "cells" / "long.csv"))
     names = sorted(os.listdir(tmp_path / "columns"))
     assert names == sorted(os.listdir(tmp_path / "cells"))
-    assert sum(name.endswith(".csv") for name in names) == 6 + 3 + 2 + 1 + 1  # traces, curves, profiles, regret, long
-    for name in names:
+    tables = [name for name in names if name.endswith(".csv")]  # summary.json names its own out_dir
+    assert len(tables) == 6 + 3 + 2 + 1 + 1  # traces, curves, profiles, regret, long
+    for name in tables:
         assert (tmp_path / "columns" / name).read_bytes() == (tmp_path / "cells" / name).read_bytes(), name
 
 
@@ -623,7 +628,7 @@ def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch
     result = run_comparison(cfg)
     bound = analysis.regret_bound_table(pool, schedule, np.arange(1, schedule.horizon + 1))
     for policy in ("cmab-plain", "cmab-scaled"):
-        runs = result["traces"][policy]
+        runs = [run_single(cfg, policy, seed) for seed in cfg.seeds]
         expected = np.mean([analysis.empirical_regret(t, pool, schedule, reference) for t in runs], axis=0)
         assert np.array_equal(result["regret"][policy]["mean_regret"], expected)
         for column, values in bound.items():
@@ -633,24 +638,91 @@ def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch
 def test_run_comparison_shares_one_trajectory_per_seed(monkeypatch):
     cfg = small_config(seeds=(0, 1))
     calls = []
-    original = sgd.sample_batches
+    errors = {}  # (policy, seed) -> the model_errors of the run's trace
+    original, original_run = sgd.sample_batches, harness.run_single
 
     def counting(problem, count, rng):
         calls.append(count)
         return original(problem, count, rng)
 
+    def recording(config, policy, seed, setup=None):
+        trace = original_run(config, policy, seed, setup)
+        errors[policy, seed] = trace.model_errors
+        return trace
+
     monkeypatch.setattr(sgd, "sample_batches", counting)
-    result = run_comparison(cfg)
+    monkeypatch.setattr(harness, "run_single", recording)
+    run_comparison(cfg)
     horizon = RoundSchedule(cfg.switching_points()).horizon
     assert len(calls) == horizon * len(cfg.seeds)
     monkeypatch.undo()
-    for policy, runs in result["traces"].items():
-        for trace, seed in zip(runs, cfg.seeds):
-            assert np.array_equal(trace.model_errors, run_single(cfg, policy, seed).model_errors)
-            assert not trace.model_errors.flags.writeable
-            assert trace.model_errors is result["traces"][cfg.policies[0]][cfg.seeds.index(seed)].model_errors
+    assert set(errors) == {(p, s) for p in cfg.policies for s in cfg.seeds}
+    for (policy, seed), model_errors in errors.items():
+        assert np.array_equal(model_errors, run_single(cfg, policy, seed).model_errors)
+        assert not model_errors.flags.writeable
+        assert model_errors is errors[cfg.policies[0], seed]
     with pytest.raises(ValueError, match="seed 0"):
         run_single(cfg, "optimal", 1, SeedSetup.build(cfg, 0))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(pool_seed=5, seeds=(2, 0, 1), policies=("cmab-scaled", "optimal", "cmab-plain", "adaptive-ksync")),
+        dict(seeds=(0, 1, 2)),
+        dict(b=1, schedule="1", pool_seed=4, seeds=tuple(range(9)), policies=harness.POLICY_NAMES),
+    ],
+    ids=["pinned", "unpinned", "horizon-1"],
+)
+def test_comparison_pass_matches_separately_held_traces(shape, tmp_path):
+    # each policy's tables and summary entry from its one pass equal those
+    # built from every run's trace held at once; at horizon 1 with 9 seeds a
+    # running sum would differ from np.mean in the last bit
+    cfg = small_config(out_dir=str(tmp_path), **shape)
+    result = run_comparison(cfg)
+    tables, summary = reference_comparison(cfg)
+    for kind, expected in tables.items():
+        assert list(result[kind]) == list(expected), kind
+        for policy, table in expected.items():
+            got = result[kind][policy]
+            if isinstance(table, dict):
+                assert list(got) == list(table), (kind, policy)
+                for column, values in table.items():
+                    assert got[column].dtype == values.dtype and np.array_equal(got[column], values), (kind, column)
+            else:
+                assert got.dtype == table.dtype and np.array_equal(got, table), (kind, policy)
+    assert result["summary"] == summary
+    assert (tmp_path / "summary.json").read_text() == json.dumps(summary, indent=2, sort_keys=True)
+
+
+def test_comparison_frees_each_policy_before_the_next_runs(monkeypatch, tmp_path):
+    # at every run_single call, no trace of an earlier policy is alive, and no
+    # trace outlives the comparison
+    cfg = small_config(out_dir=str(tmp_path), pool_seed=5, seeds=(0, 1, 2))
+    refs = []  # (policy, weak reference to a returned trace)
+    original = harness.run_single
+
+    def watched(config, policy, seed, setup=None):
+        alive = [p for p, ref in refs if p != policy and ref() is not None]
+        assert not alive, f"{policy} seed {seed} started with traces of {alive} alive"
+        trace = original(config, policy, seed, setup)
+        refs.append((policy, weakref.ref(trace)))
+        return trace
+
+    monkeypatch.setattr(harness, "run_single", watched)
+    run_comparison(cfg)
+    assert len(refs) == len(cfg.policies) * len(cfg.seeds)
+    assert all(ref() is None for _, ref in refs)
+
+
+def test_diverging_comparison_writes_nothing(tmp_path):
+    # seed 1 converges and seed 0 diverges at this step size; the comparison
+    # stops on seed 0 before any output is written
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(n=10, b=3, m=200, d=100, eta=1.4e-3, seeds=(1, 0), schedule="100,200,300", out_dir=str(out))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=r"at iteration \d+"):
+        run_comparison(cfg)
+    assert not out.exists()
 
 
 def test_computed_schedules_must_agree_before_any_run(monkeypatch):

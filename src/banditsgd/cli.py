@@ -115,10 +115,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = _build_config(args)
-    lists = args.lists if args.lists is not None else config.mc_lists
-    samples = args.samples if args.samples is not None else config.mc_samples
-    results = verify.oracle_suite(lists, samples, args.trials, args.seed)
+    results = verify.oracle_suite(args.lists, args.samples, args.trials, args.seed)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -146,7 +143,7 @@ def _log_to_stderr(level):
         package.setLevel(saved)
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="banditsgd",
         description="Seeded simulator for cost-efficient distributed SGD with bandit worker selection",
@@ -154,7 +151,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--config", help="flat key=value config file")
         p.add_argument(
             "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
         )
@@ -183,23 +179,22 @@ def main(argv=None) -> int:
     p_bnd.add_argument("--out", help="JSON output path (default: stdout)")
     p_bnd.set_defaults(func=_cmd_bounds)
 
-    for p in (p_run, p_cmp, p_bnd):  # verify reads no schedule
+    for p in (p_run, p_cmp, p_bnd):  # verify reads no config and no schedule
+        p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--schedule", help="'computed' or comma-separated switching points")
 
-    p_ver = sub.add_parser(
-        "verify",
-        help="Monte Carlo oracle suite",
-        description="Monte Carlo oracle suite. --config: verify reads mc_lists and mc_samples from "
-        "the file, but validates the whole file as one config, so any invalid key fails.",
-    )
+    p_ver = sub.add_parser("verify", help="Monte Carlo oracle suite")
     add_common(p_ver)
-    p_ver.add_argument("--lists", type=int, help="random rate lists per closed-form check")
-    p_ver.add_argument("--samples", type=int, help="Monte Carlo samples per list")
+    p_ver.add_argument("--lists", type=int, default=50, help="random rate lists per closed-form check")
+    p_ver.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples per list")
     p_ver.add_argument("--trials", type=int, default=100_000, help="trials per tail-bound cell")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     with _log_to_stderr(args.log_level):
         try:
             return args.func(args)

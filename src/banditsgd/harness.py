@@ -25,6 +25,7 @@ from . import analysis, sgd
 from .analysis import RunTrace
 from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
 from .policies import (
+    RADIUS_VARIANTS,
     BanditState,
     RoundSchedule,
     compute_schedule,
@@ -37,13 +38,13 @@ logger = logging.getLogger(__name__)
 
 STREAM_LABELS = ("data-generation", "mean-assignment", "worker-latency", "batch-sampling")
 
-# The bandit policies and the radius variant (``policies.RADIUS_VARIANTS``) each runs.
-BANDIT_VARIANTS = {"cmab-plain": "plain", "cmab-scaled": "scaled"}
+# The bandit policies and the radius variant each runs.
+BANDIT_VARIANTS = {f"cmab-{v}": v for v in RADIUS_VARIANTS}
 POLICY_NAMES = (*BANDIT_VARIANTS, "optimal", "adaptive-ksync")
 
-# summary.json still writes these two removed config fields, at the values every
-# run now uses, so its bytes stay the same; they go at the next output-contract bump.
-RETIRED_SUMMARY_KEYS = {"variant": "plain", "bound_tail_term": "pi2/3"}
+# summary.json still writes these removed config fields, at the values they last
+# held, so its bytes stay the same; they go at the next output-contract bump.
+RETIRED_SUMMARY_KEYS = {"variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1_000_000}
 
 TRACE_HEADER = "iter,round,policy,seed,superarm,response_time,cum_time,employments,cum_employments,model_error"
 
@@ -74,7 +75,7 @@ class ExperimentConfig:
     d: int = 100
     eta: float = 1e-4
     seeds: tuple[int, ...] = tuple(range(10))
-    policies: tuple[str, ...] = ("cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync")
+    policies: tuple[str, ...] = POLICY_NAMES
     schedule: str = "computed"
     theta: float = 0.1
     j_cap: int = 1_000_000
@@ -88,8 +89,6 @@ class ExperimentConfig:
     simulate_sgd: bool = True
     out_dir: str | None = None
     write_traces: bool = True
-    mc_samples: int = 1_000_000
-    mc_lists: int = 50
 
     def __post_init__(self) -> None:
         if not 1 <= self.b <= self.n:
@@ -124,8 +123,6 @@ class ExperimentConfig:
             raise ValueError(f"theta must be > 0, got {self.theta}")
         if self.j_cap < self.b:
             raise ValueError(f"need j_cap >= b, got j_cap={self.j_cap}, b={self.b}")
-        if self.mc_lists < 1 or self.mc_samples < 1:
-            raise ValueError(f"need mc_lists >= 1 and mc_samples >= 1, got {self.mc_lists} and {self.mc_samples}")
         if self.worker_means is not None:
             if len(self.worker_means) != self.n:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
@@ -175,7 +172,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
-        """Parse a flat key=value text file ('#' starts a comment)."""
+        """Parse a flat key=value text file ('#' starts a comment); ``overrides`` win over its values."""
         values: dict = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -186,7 +183,7 @@ class ExperimentConfig:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
                 key, _, value = line.partition("=")
                 values[key.strip()] = value.strip()
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update(overrides)
         return cls.from_mapping(values)
 
     @classmethod
@@ -439,7 +436,7 @@ def identify_fastest(traces) -> IdentificationReport:
         b = trace.schedule.b
         counts = trace.final_round_counts()
         chosen = np.sort(np.argsort(-counts, kind="stable")[:b])
-        truth = np.zeros(counts.size, dtype=bool)
+        truth = np.zeros(counts.size, dtype=bool)  # a mask: np.intersect1d imports numpy.ma, ~1 MiB resident
         truth[trace.pool.speed_order[:b]] = True
         identified.append(chosen)
         accuracies.append(np.count_nonzero(truth[chosen]) / b)

@@ -232,7 +232,7 @@ class RoundSchedule:
         return int((np.arange(1, self.b + 1) * self.round_lengths()).sum())
 
 
-def compute_schedule(bound_params, b: int, theta: float = 0.1, j_cap: int = 1_000_000) -> RoundSchedule:
+def compute_schedule(bound_params, b: int, theta: float, j_cap: int) -> RoundSchedule:
     """Switching points from the convergence bound.
 
     Round r is given the smallest number of iterations after which the bound

@@ -161,14 +161,15 @@ def run_trajectory(problem: SgdProblem, rounds: np.ndarray, rng: np.random.Gener
     errors = np.empty(len(rounds))
     w = problem.w0.copy()
     step_base = problem.eta / problem.s
-    for j, r in enumerate(rounds.tolist(), start=1):
-        # no name holds the batches, so their (r, m) argpartition base is freed
-        # before the next iteration draws its keys
-        w = w - (step_base / r) * batch_gradient(problem, w, sample_batches(problem, r, rng))
-        err = model_error(problem, w)
-        if not math.isfinite(err):
-            raise ValueError(f"model error is {err} at iteration {j}; eta={problem.eta} is too large to converge")
-        errors[j - 1] = err
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below names a divergence
+        for j, r in enumerate(rounds.tolist(), start=1):
+            # no name holds the batches, so their (r, m) argpartition base is freed
+            # before the next iteration draws its keys
+            w = w - (step_base / r) * batch_gradient(problem, w, sample_batches(problem, r, rng))
+            err = model_error(problem, w)
+            if not math.isfinite(err):
+                raise ValueError(f"model error is {err} at iteration {j}; eta={problem.eta} is too large to converge")
+            errors[j - 1] = err
     return errors
 
 

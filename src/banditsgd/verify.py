@@ -81,11 +81,12 @@ def check_order_statistics(samples: int, rng: np.random.Generator) -> CheckResul
     """Sampled fastest and slowest responses of an iid pool against closed forms.
 
     The row minima of one ``(samples, n)`` block and the row maxima of a
-    second. Without samples the check is a miss and draws nothing.
+    second. With fewer than two samples, too few for a standard error, the
+    check is a miss and draws nothing.
     """
     name = "fastest and slowest response vs closed forms"
-    if samples < 1:
-        return CheckResult(name, False, "no samples")
+    if samples < 2:
+        return CheckResult(name, False, "one sample" if samples else "no samples")
     n = 4
     pool = WorkerPool(np.ones(n))
     ok = True
@@ -152,9 +153,9 @@ def check_tail_bounds(trials: int, rng: np.random.Generator) -> CheckResult:
 
 
 def oracle_suite(lists: int, samples: int, trials: int, seed: int) -> list[CheckResult]:
-    for name, value in (("lists", lists), ("samples", samples), ("trials", trials)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    for name, value, least in (("lists", lists, 1), ("samples", samples, 2), ("trials", trials, 1)):
+        if value < least:  # a standard error needs two samples
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

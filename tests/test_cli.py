@@ -1,14 +1,16 @@
 """Command-line interface: subcommands, flag overrides, exit codes."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import os
 import warnings
 
 import pytest
 
-from banditsgd import analysis, harness
-from banditsgd.cli import main
+from banditsgd import analysis, harness, verify
+from banditsgd.cli import _parser, main
 from banditsgd.harness import TRACE_HEADER
 
 CFG_TEXT = """
@@ -131,12 +133,13 @@ def test_compare_writes_tables(tmp_path, cfg_file, capsys):
 
 
 def test_compare_summary_keeps_the_retired_config_keys(tmp_path, cfg_file):
-    # summary.json still records the two removed config fields, at the values every run now uses
+    # summary.json still records the four removed config fields, at their fixed values
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg_file, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     config = harness.ExperimentConfig.from_file(cfg_file, out_dir=str(out))
-    assert summary["config"] == {**config.as_dict(), "variant": "plain", "bound_tail_term": "pi2/3"}
+    retired = {"variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1000000}
+    assert summary["config"] == {**config.as_dict(), **retired}
 
 
 def test_compare_bound_columns_match_bounds_command(tmp_path, monkeypatch):
@@ -322,38 +325,33 @@ def test_verify_suite_passes(capsys):
     assert out.count("PASS") == 4 and "FAIL" not in out
 
 
-@pytest.mark.parametrize(
-    "sizes",
-    [("--lists", "0", "--samples", "10"), ("--lists", "4", "--samples", "0"), ("--lists", "4", "--trials", "0")],
-)
+@pytest.mark.parametrize("sizes", [("--lists", "0"), ("--samples", "0"), ("--trials", "0"), ("--samples", "1")])
 def test_verify_rejects_empty_sample_sizes(sizes, capsys):
-    rc = main(["verify", "--samples", "40000", "--trials", "100", *sizes])
+    # a standard error needs two samples; every other size needs one
+    rc = main(["verify", "--lists", "4", "--samples", "40000", "--trials", "100", *sizes])
     assert rc == 2
+    flag, value = sizes
+    least = 2 if flag == "--samples" else 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ") and "must be >= 1" in captured.err
+    assert captured.err == f"error: {flag[2:]} must be >= {least}, got {value}\n"
     assert "PASS" not in captured.out
 
 
 def test_verify_too_few_samples_fails(capsys):
-    # fewer than 20 samples leave the order-statistic check without data: a miss, not a crash
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        rc = main(["verify", "--lists", "4", "--samples", "10", "--trials", "100"])
-    assert rc == 1
-    assert "FAIL fastest and slowest response vs closed forms: no samples" in capsys.readouterr().out
+    # fewer than 40 samples leave the order-statistic check under two draws: a miss, not a crash
+    for samples, detail in (("10", "no samples"), ("20", "one sample")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["verify", "--lists", "4", "--samples", samples, "--trials", "100"])
+        assert rc == 1
+        assert f"FAIL fastest and slowest response vs closed forms: {detail}" in capsys.readouterr().out
 
 
-def test_verify_config_validates_the_whole_file(tmp_path, capsys):
-    # verify reads only mc_lists and mc_samples, yet the file is one config: a schedule
-    # that does not fit b fails before any check runs
-    cfg = _mini_cfg(tmp_path, "schedule = 1,2\nmc_lists = 2\nmc_samples = 100\n")
-    assert main(["verify", "--config", cfg, "--trials", "100"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: schedule lists 2 switching points but b=20\n"
-    assert "PASS" not in captured.out
-    with pytest.raises(SystemExit):
-        main(["verify", "--help"])
-    assert "validates the whole file" in " ".join(capsys.readouterr().out.split())
+def test_verify_defaults_are_the_paper_sizes(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "oracle_suite", lambda *args: calls.append(args) or [])
+    assert main(["verify"]) == 0
+    assert calls == [(50, 1_000_000, 100_000, 0)]
 
 
 def test_verify_rejects_negative_seed(capsys):
@@ -398,7 +396,39 @@ def test_schedule_flag_only_where_a_schedule_is_read(capsys, command, reads_sche
     assert ("--schedule" in text) == reads_schedule
     assert "--variant" not in text
     if not reads_schedule:
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--schedule", "1,2"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --schedule 1,2" in capsys.readouterr().err
+        for flag, value in (("--schedule", "1,2"), ("--config", "x")):
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, value])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_option_surface_is_pinned():
+    # every config field and flag is listed once here, so adding a knob shows up as a diff
+    assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
+        "n", "b", "m", "d", "eta", "seeds", "policies", "schedule", "theta", "j_cap",
+        "mean_min", "mean_max", "mean_step", "distinct_means", "worker_means", "pool_seed",
+        "data_seed", "simulate_sgd", "out_dir", "write_traces",
+    ]
+    (commands,) = (a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [flag for action in p._actions for flag in action.option_strings if flag not in ("-h", "--help")]
+        for name, p in commands.items()
+    }
+    assert options == {
+        "run": ["--log-level", "--policy", "--seed", "--out", "--config", "--schedule"],
+        "compare": ["--log-level", "--out", "--seeds", "--policies", "--config", "--schedule"],
+        "bounds": ["--log-level", "--rates", "--j", "--eps", "--regret", "--out", "--config", "--schedule"],
+        "verify": ["--log-level", "--lists", "--samples", "--trials", "--seed"],
+    }
+
+
+def test_diverging_compare_writes_one_error_line(tmp_path, capsys):
+    cfg = _mini_cfg(tmp_path, "n = 10\nb = 3\nm = 200\nd = 100\neta = 1e-2\nseeds = 0,1\nschedule = 100,200,300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would fail the run with its own error line
+        rc = main(["compare", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: model error is inf at iteration 104; eta=0.01 is too large to converge\n"
+    assert captured.out == ""

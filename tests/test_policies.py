@@ -408,11 +408,11 @@ def test_schedule_strictly_increasing_and_capped():
 
 def test_schedule_faults():
     with pytest.raises(ValueError):
-        compute_schedule(unit_params(eta=1.0), 2)  # eta * c = 1, no decay
+        compute_schedule(unit_params(eta=1.0), 2, theta=0.1, j_cap=10**6)  # eta * c = 1, no decay
     with pytest.raises(ValueError):
-        compute_schedule(unit_params(), 2, theta=0.0)
+        compute_schedule(unit_params(), 2, theta=0.0, j_cap=10**6)
     with pytest.raises(ValueError):
-        compute_schedule(unit_params(), 5, j_cap=4)
+        compute_schedule(unit_params(), 5, theta=0.1, j_cap=4)
 
 
 def test_round_schedule_accessors():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import sys
@@ -147,29 +148,31 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="banditsgd",
         description="Seeded simulator for cost-efficient distributed SGD with bandit worker selection",
+        allow_abbrev=False,  # a flag is spelled in full, never by a prefix
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p):
         p.add_argument(
             "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
         )
 
-    p_run = sub.add_parser("run", help="run one policy/seed and write its trace CSV")
+    p_run = add_parser("run", help="run one policy/seed and write its trace CSV")
     add_common(p_run)
     p_run.add_argument("--policy", required=True, choices=harness.POLICY_NAMES)
     p_run.add_argument("--seed", required=True, type=int)
     p_run.add_argument("--out", required=True, help="trace CSV path")
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run all configured policies/seeds and write figure tables")
+    p_cmp = add_parser("compare", help="run all configured policies/seeds and write figure tables")
     add_common(p_cmp)
     p_cmp.add_argument("--out", dest="out_dir", help="output directory")
     p_cmp.add_argument("--seeds", help="comma-separated seed list override")
     p_cmp.add_argument("--policies", help="comma-separated policy list override")
     p_cmp.set_defaults(func=_cmd_compare)
 
-    p_bnd = sub.add_parser("bounds", help="evaluate gap, regret, and completion-time bounds")
+    p_bnd = add_parser("bounds", help="evaluate gap, regret, and completion-time bounds")
     add_common(p_bnd)
     floats = _comma_list(float)
     p_bnd.add_argument("--rates", type=floats, help="comma-separated worker rates (else sampled from the config)")
@@ -183,7 +186,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--schedule", help="'computed' or comma-separated switching points")
 
-    p_ver = sub.add_parser("verify", help="Monte Carlo oracle suite")
+    p_ver = add_parser("verify", help="Monte Carlo oracle suite")
     add_common(p_ver)
     p_ver.add_argument("--lists", type=int, default=50, help="random rate lists per closed-form check")
     p_ver.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples per list")

@@ -124,6 +124,8 @@ class ExperimentConfig:
         if self.j_cap < self.b:
             raise ValueError(f"need j_cap >= b, got j_cap={self.j_cap}, b={self.b}")
         if self.worker_means is not None:
+            if self.pool_seed is not None:
+                raise ValueError(f"worker_means fixes the pool; pool_seed={self.pool_seed} would be ignored")
             if len(self.worker_means) != self.n:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
             if not all(math.isfinite(v) and v > 0 for v in self.worker_means):
@@ -305,9 +307,9 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     block of ``block_rows(width)`` rows at a time (the width is r, or n for
     k-sync, which books the superarm of all n workers), so a round of any
     length holds one block of draws. The bandit draws the whole round's
-    standard exponentials into the trace's response array and hands them to
-    one ``select_superarm_cmab`` call, which steps the round an iteration at
-    a time, scaling each row by the chosen members' means as it picks them.
+    standard exponentials into the trace's responses and hands them and the
+    round's rows of the trace's members to one ``select_superarm_cmab`` call,
+    which fills both in place an iteration at a time.
 
     The trace shares the setup's read-only arrays rather than copying them:
     ``rounds``, ``member_offsets`` and ``model_errors``, and ``employments``,
@@ -338,7 +340,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         if variant is not None:
             # scaling a standard exponential by the mean is exactly how member_responses draws it
             latency_rng.standard_exponential(out=resp)
-            arms[:] = select_superarm_cmab(state, variant, pool, resp)
+            select_superarm_cmab(state, variant, pool, resp, arms)
         else:
             # k-sync draws for all n workers and keeps the r fastest of each row
             arm = np.arange(n) if is_ksync else select_superarm_optimal(pool, r)

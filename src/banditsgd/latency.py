@@ -151,22 +151,15 @@ def _subset_table(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, parity
 
 
-def _reciprocal_totals(sums: np.ndarray, parity: np.ndarray, scratch: np.ndarray) -> tuple[float, float]:
-    """``np.add.reduce`` of parity / sums and of parity / sums**2, in ``scratch``."""
-    first = float(np.add.reduce(np.divide(parity, sums, out=scratch)))
-    np.multiply(sums, sums, out=scratch)
-    return first, float(np.add.reduce(np.divide(parity, scratch, out=scratch)))
-
-
 def _leaf(table, upper: list, work, start: int, count: int) -> tuple[float, float]:
-    """Totals of masks ``start .. start+count-1``, built in ``work``.
+    """``np.add.reduce`` of parity / sums and of parity / sums**2 over masks ``start .. start+count-1``.
 
-    ``table`` holds the sums and parities of the low ``_BLOCK_BITS`` bits and
-    ``upper`` the rates of the higher bits, added one at a time in ascending
-    bit order. The range spans at most two table blocks.
+    Built in ``work`` from ``table`` (the low ``_BLOCK_BITS`` bits' sums and
+    parities) and ``upper`` (the higher bits' rates, added one at a time in
+    ascending bit order). The range spans at most two table blocks.
     """
     table_sums, table_parity = table
-    sums, parity, scratch = work
+    sums, parity, scratch = (a[:count] for a in work)
     pos = start
     while pos < start + count:
         block, lo = divmod(pos, BLOCK_VALUES)
@@ -181,7 +174,9 @@ def _leaf(table, upper: list, work, start: int, count: int) -> tuple[float, floa
                 sign = -sign
         np.multiply(table_parity[lo:hi], sign, out=parity[piece])
         pos = hi + block * BLOCK_VALUES
-    return _reciprocal_totals(sums[:count], parity[:count], scratch[:count])
+    first = float(np.add.reduce(np.divide(parity, sums, out=scratch)))
+    np.multiply(sums, sums, out=scratch)
+    return first, float(np.add.reduce(np.divide(parity, scratch, out=scratch)))
 
 
 def _tree(table, upper: list, work, start: int, count: int) -> tuple[float, float]:
@@ -204,18 +199,15 @@ def _inclusion_exclusion_sum(rates: np.ndarray) -> tuple[float, float]:
     pairwise tree (split ``n`` at ``n//2 - (n//2) % 8``) down to leaves of
     at most ``BLOCK_VALUES`` masks, and only the leaves are built: the sums of
     the low ``_BLOCK_BITS`` bits come from one table, the higher bits are
-    added one at a time in ascending bit order. Memory is a few arrays of
-    ``BLOCK_VALUES`` floats, whatever the list length. They are passed to the
-    module-level ``_tree`` and ``_leaf``: a self-calling nested closure over
-    them would sit in a reference cycle and keep them past the return.
+    added one at a time in ascending bit order; a list of at most
+    ``_BLOCK_BITS`` rates is one leaf. Memory is the table and three arrays of
+    ``min(2^k - 1, BLOCK_VALUES)`` floats. They go to the module-level
+    ``_tree`` and ``_leaf``: a self-calling nested closure over them would
+    sit in a reference cycle and keep them past the return.
     """
-    table = _subset_table(rates[:_BLOCK_BITS])
-    if rates.size <= _BLOCK_BITS:  # every non-empty subset fits one leaf
-        table_sums, table_parity = table
-        first, second = _reciprocal_totals(table_sums[1:], table_parity[1:], np.empty(table_sums.size - 1))
-    else:
-        work = (np.empty(BLOCK_VALUES), np.empty(BLOCK_VALUES), np.empty(BLOCK_VALUES))
-        first, second = _tree(table, rates[_BLOCK_BITS:].tolist(), work, 1, (1 << rates.size) - 1)
+    count = (1 << rates.size) - 1
+    work = tuple(np.empty(min(count, BLOCK_VALUES)) for _ in range(3))
+    first, second = _tree(_subset_table(rates[:_BLOCK_BITS]), rates[_BLOCK_BITS:].tolist(), work, 1, count)
     # (-1)^(|S|-1) = -(-1)^|S|
     return -first, -second
 

@@ -68,18 +68,21 @@ def suboptimal_rows(pool: WorkerPool, arms: np.ndarray) -> np.ndarray:
     return (member_means > pool.sorted_means[: arms.shape[1]] + SUBOPTIMALITY_TOL).any(axis=1)
 
 
-def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, draws: np.ndarray) -> np.ndarray:
-    """Play the next ``L`` iterations of one bandit round; return their ``(L, r)`` superarms.
+def select_superarm_cmab(
+    state: BanditState, variant: str, pool: WorkerPool, draws: np.ndarray, arms: np.ndarray
+) -> np.ndarray:
+    """Play the next ``L`` iterations of one bandit round; write their superarms into ``arms`` and return it.
 
     ``draws`` is the round's ``(L, r)`` float64 block of standard exponential
     variates; its first row is iteration ``j = state.current_iteration + 1``.
-    For each iteration in turn this picks the ``r`` workers with the lowest
-    LCBs on the counters so far (ties to the lowest index; the members of a
-    row ascend), scales that row of ``draws`` in place by the members' mean
-    response times, so the row becomes the observed responses, and adds the
-    row to the state's pulls and response sums. Each iteration also notes its
-    least-pulled member (the charge ``record_outcome`` makes); the round's
-    suboptimal rows (``suboptimal_rows``) are charged to those members at the end.
+    For each iteration in turn this writes the ``r`` workers with the lowest
+    LCBs on the counters so far (ties to the lowest index, in ascending order)
+    to that row of ``arms``, the caller's integer array of the draws' shape,
+    scales that row of ``draws`` in place by the members' mean response times,
+    so the row becomes the observed responses, and adds the row to the state's
+    pulls and response sums. Each iteration also notes its least-pulled member
+    (the charge ``record_outcome`` makes); the round's suboptimal rows
+    (``suboptimal_rows``) are charged to those members at the end.
 
     An arm's LCB at iteration ``j`` is its empirical mean minus the radius
     ``sqrt(4 f / T) + 2 f / T`` with ``f = 2 log(j-1)``; unpulled arms score
@@ -99,6 +102,8 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
         raise ValueError(f"superarm size {r} outside [1, {n}]")
     if iterations < 1:
         raise ValueError("draws must hold at least one iteration")
+    if not isinstance(arms, np.ndarray) or arms.shape != draws.shape:
+        raise ValueError(f"arms of shape {np.shape(arms)} do not fit draws of shape {draws.shape}")
     if pool.n != n:
         raise ValueError(f"pool has {pool.n} workers, state has {n}")
     j = state.current_iteration + 1
@@ -110,7 +115,6 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
     sums, means = state.response_sums, pool.means
     coef, terms, lcb = np.empty((2, 1)), np.empty((2, n)), np.empty(n)
     radius, linear = terms  # row views, made once
-    arms = np.empty((iterations, r), dtype=np.int64)
     least = np.empty(iterations, dtype=np.int64)  # each iteration's least-pulled member
     # reductions are slow on small arrays: count_nonzero and argmin stand in for all() and min()
     pulled = np.count_nonzero(counts)
@@ -122,8 +126,8 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
             unpulled = counts == 0 if pulled < n else None
             t = counts if unpulled is None else np.maximum(counts, 1.0)
             f = 2.0 * math.log(j + i - 1)
+            np.divide(sums, t, out=lcb)  # the empirical means
             if scaled:
-                np.divide(sums, t, out=lcb)
                 if unpulled is not None:
                     lcb[unpulled] = np.inf  # the smallest pulled mean skips them
                 f *= float(lcb[lcb.argmin()])
@@ -132,13 +136,12 @@ def select_superarm_cmab(state: BanditState, variant: str, pool: WorkerPool, dra
             np.divide(coef, t, out=terms)  # both quotients of the radius sqrt(4 f / t) + 2 f / t at once
             np.sqrt(radius, out=radius)
             radius += linear
-            np.divide(sums, t, out=lcb)
             lcb -= radius
             if unpulled is not None:
                 lcb[unpulled] = -np.inf
-        arm = arms[i]
-        arm[:] = lcb.argsort(kind="stable")[:r]
+        arm = lcb.argsort(kind="stable")[:r]  # int64, so the indexing below needs no cast
         arm.sort()
+        arms[i] = arm
         row = draws[i]
         row *= means[arm]
         seen = counts[arm]

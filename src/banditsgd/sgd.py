@@ -121,12 +121,11 @@ def sample_batches(problem: SgdProblem, count: int, rng: np.random.Generator) ->
     Each batch consumes ``m`` uniform variates (a random key per sample; the
     batch is the ``s`` smallest keys), so row ``t`` of the result is exactly
     what the ``t``-th of ``count`` sequential single-batch calls would return.
+    At ``b = 1`` (``s == m``) a row holds every sample once, in no set order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     keys = rng.random((count, problem.m))
-    if problem.s >= problem.m:
-        return np.tile(np.arange(problem.m), (count, 1))
     return np.argpartition(keys, problem.s - 1, axis=1)[:, : problem.s]
 
 

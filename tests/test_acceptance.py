@@ -249,7 +249,7 @@ def test_c08_zero_radius_reduces_to_omniscient():
             # at iteration 2 the radius uses f(1) = 0, so LCBs equal the means;
             # the round step plays one iteration on a copy of the state
             step = BanditState(state.pulls.copy(), state.response_sums.copy(), state.suboptimal_pulls.copy(), 1)
-            chosen = select_superarm_cmab(step, "plain", pool, np.ones((1, r)))[0]
+            chosen = select_superarm_cmab(step, "plain", pool, np.ones((1, r)), np.empty((1, r), dtype=np.int64))[0]
             np.testing.assert_array_equal(chosen, select_superarm_optimal(pool, r))
     report(8, "zero-radius policy equals the omniscient selection on 100 pools")
 

@@ -403,6 +403,18 @@ def test_schedule_flag_only_where_a_schedule_is_read(capsys, command, reads_sche
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compare", "--seed", "3", "--pol", "optimal,cmab-plain"], ["verify", "--sam", "10"], ["bounds", "--rat", "1,2"]],
+)
+def test_flag_prefixes_are_not_flags(capsys, argv):
+    # only the pinned spellings parse: a prefix of a flag is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
 def test_option_surface_is_pinned():
     # every config field and flag is listed once here, so adding a knob shows up as a diff
     assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [

@@ -97,6 +97,9 @@ def test_config_validation():
     for bad_mean in (math.inf, math.nan, 0.0, -0.5):
         with pytest.raises(ValueError, match="worker_means must all be finite and > 0"):
             ExperimentConfig(n=3, b=2, schedule="5,10", worker_means=(0.5, bad_mean, 1.0))
+    # two pins of one pool contradict each other: build_pool would ignore pool_seed
+    with pytest.raises(ValueError, match="worker_means fixes the pool; pool_seed=4 would be ignored"):
+        ExperimentConfig(n=3, b=2, schedule="5,10", worker_means=(0.5, 0.7, 1.0), pool_seed=4)
     for schedule in ("3,2,1", "0,1,2", "1,1,2"):
         with pytest.raises(ValueError, match=f"schedule '{schedule}': switching points must be strictly increasing"):
             ExperimentConfig(n=5, b=3, schedule=schedule)
@@ -153,7 +156,7 @@ def _same_typed(a, b) -> bool:
 
 
 def test_config_fields_round_trip_through_text():
-    every_field_set = ExperimentConfig(
+    every_other_field_set = dict(
         n=6,
         b=3,
         m=24,
@@ -168,17 +171,19 @@ def test_config_fields_round_trip_through_text():
         mean_max=0.8,
         mean_step=0.05,
         distinct_means=True,
-        worker_means=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5),
-        pool_seed=4,
         data_seed=7,
         simulate_sgd=False,
         out_dir="results/x",
         write_traces=False,
     )
+    # worker_means and pool_seed each pin the pool, so one config sets one of them
+    listed = ExperimentConfig(**every_other_field_set, worker_means=(0.25, 0.5, 0.75, 1.0, 1.25, 1.5))
+    seeded = ExperimentConfig(**every_other_field_set, pool_seed=4)
     fields = dataclasses.fields(ExperimentConfig)
-    assert all(getattr(every_field_set, f.name) != f.default for f in fields)
+    assert all(getattr(listed, f.name) != f.default or f.name == "pool_seed" for f in fields)
+    assert all(getattr(seeded, f.name) != f.default or f.name == "worker_means" for f in fields)
     # the defaults leave the optional fields at None
-    for config in (every_field_set, ExperimentConfig()):
+    for config in (listed, seeded, ExperimentConfig()):
         text = {f.name: _as_text(getattr(config, f.name)) for f in fields}
         parsed = ExperimentConfig.from_mapping(text)
         for f in fields:
@@ -572,6 +577,18 @@ def test_feedback_free_rounds_hold_one_block_of_draws(paper_scale_setup, policy)
     assert setup.schedule.round_lengths()[-1] == 9000
     _, peak, held = traced_call(functools.partial(run_single, config, policy, 0, setup))
     assert peak - held <= 4 * BLOCK_VALUES * 8, f"{policy} traced {(peak - held) / 2**20:.2f} MiB over its trace"
+
+
+def test_bandit_round_writes_the_trace_in_place(paper_scale_setup):
+    # the bandit writes each round's members into the trace; beyond it, the run
+    # holds the final round's (9000, 20) float64 member means of the
+    # suboptimality test and its (9000,) least-pulled members, 1.44 MiB. It
+    # traces 1.47 MiB, so the bound leaves a margin of about 8%. A round that
+    # returned int64 arms for the run to copy would trace 2.84 MiB
+    config, setup = paper_scale_setup
+    _, peak, held = traced_call(functools.partial(run_single, config, "cmab-plain", 0, setup))
+    budget = 1.1 * (9000 * 20 * 8 + 9000 * 8)
+    assert peak - held <= budget, f"cmab-plain traced {(peak - held) / 2**20:.2f} MiB over its trace"
 
 
 def test_trace_writer_holds_one_block_of_text(paper_scale_setup, tmp_path):

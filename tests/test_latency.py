@@ -270,19 +270,20 @@ def test_max_moments_bit_identical_to_full_array_sum():
 
 def test_max_moments_memory_is_bounded_by_the_block():
     # one call holds a few blocks, and returning frees them: with the cyclic
-    # collector off, consecutive calls must not pile up their buffers
+    # collector off, consecutive calls must not pile up their buffers. Lists
+    # of 5 and 14 rates take the same tree, as one leaf
     rates = 1.0 / (np.arange(1, 21) / 20.0)
     with cyclic_package_garbage() as left:
         _, peak, _ = traced_call(lambda: max_moments(rates))
 
         def first_calls_at_new_lengths():
-            for k in range(15, 23):
+            for k in (5, 14, *range(15, 23)):
                 max_moments(1.0 / (np.arange(1, k + 1) / k))
 
         # warm up only k=20, so what the first call at each new length keeps is traced
         _, _, growth = traced_call(first_calls_at_new_lengths, warm_up=lambda: max_moments(rates))
     assert peak <= 4 * 2**20, f"a 20-rate max_moments traced {peak / 2**20:.1f} MiB"
-    assert growth <= 0.5 * 2**20, f"eight calls (k = 15..22) still held {growth / 2**20:.2f} MiB after returning"
+    assert growth <= 0.5 * 2**20, f"ten calls (k = 5, 14, 15..22) still held {growth / 2**20:.2f} MiB after returning"
     assert not left, f"max_moments left package objects to the cyclic collector: {left}"
 
 

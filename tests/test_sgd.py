@@ -67,6 +67,21 @@ def test_batch_size_and_distinctness():
     assert batch.min() >= 0 and batch.max() < p.m
 
 
+def test_single_worker_batch_is_every_row_once():
+    # at b = 1 the batch is all m rows: the m keys are still drawn, and each
+    # row of the result holds every sample exactly once
+    p = make_problem(m=13, d=3, b=1)
+    assert p.s == p.m
+    rng = np.random.default_rng(6)
+    batches = sample_batches(p, 4, rng)
+    assert batches.shape == (4, p.m)
+    for batch in batches:
+        np.testing.assert_array_equal(np.sort(batch), np.arange(p.m))
+    after = np.random.default_rng(6)
+    after.random((4, p.m))
+    assert rng.random() == after.random()  # the stream moved past the keys
+
+
 def test_batch_uniformity():
     p = make_problem(m=20, d=3, b=4)  # s = 5
     draws = 100_000

@@ -120,19 +120,12 @@ class RunTrace:
         policies. A k-sync run differs by design: it books all n workers and
         charges no pull, while its flags judge the r workers it used.
         """
-        flags = np.empty(len(self), dtype=bool)
-        start = 0
-        for r, stop in enumerate(self.schedule.switching_points, start=1):
-            lo, hi = self.member_offsets[start], self.member_offsets[stop]
-            flags[start:stop] = suboptimal_rows(self.pool, self.members[lo:hi].reshape(stop - start, r))
-            start = stop
-        return flags
+        return np.concatenate([suboptimal_rows(self.pool, rows) for rows in self.schedule.round_rows(self.members)])
 
     def final_round_counts(self) -> np.ndarray:
         """Per-worker employment counts within the last round of the schedule."""
-        start = 0 if self.schedule.b == 1 else self.schedule.switching_points[-2]
-        lo = int(self.member_offsets[start])
-        return np.bincount(self.members[lo:], minlength=self.pool.n)
+        *_, last = self.schedule.round_rows(self.members)
+        return np.bincount(last.ravel(), minlength=self.pool.n)
 
 
 def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, sgd
+from . import analysis, policies, sgd
 from .analysis import RunTrace
 from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
 from .policies import (
@@ -42,9 +42,10 @@ STREAM_LABELS = ("data-generation", "mean-assignment", "worker-latency", "batch-
 BANDIT_VARIANTS = {f"cmab-{v}": v for v in RADIUS_VARIANTS}
 POLICY_NAMES = (*BANDIT_VARIANTS, "optimal", "adaptive-ksync")
 
-# summary.json still writes these removed config fields, at the values they last
-# held, so its bytes stay the same; they go at the next output-contract bump.
-RETIRED_SUMMARY_KEYS = {"variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1_000_000}
+# summary.json still writes these removed config fields, at the values they last held (compute_schedule's
+# constants for theta and j_cap), so its bytes stay the same; they go at the next output-contract bump.
+RETIRED_SUMMARY_KEYS = {"variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1_000_000,
+                        "theta": policies.THETA, "j_cap": policies.J_CAP}
 
 TRACE_HEADER = "iter,round,policy,seed,superarm,response_time,cum_time,employments,cum_employments,model_error"
 
@@ -62,7 +63,7 @@ class ExperimentConfig:
     """Flat experiment description; file keys and CLI flags map 1:1 to fields.
 
     ``schedule`` is either the literal string "computed" (switching points
-    derived from the convergence bound with proximity factor ``theta``) or a
+    derived from the convergence bound by ``policies.compute_schedule``) or a
     comma-separated list of ``b`` strictly increasing iteration indices.
     Worker means are drawn from the grid ``mean_min..mean_max`` in steps of
     ``mean_step`` (a whole number of steps), with replacement unless
@@ -77,8 +78,6 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(10))
     policies: tuple[str, ...] = POLICY_NAMES
     schedule: str = "computed"
-    theta: float = 0.1
-    j_cap: int = 1_000_000
     mean_min: float = 0.1
     mean_max: float = 0.9
     mean_step: float = 0.1
@@ -117,12 +116,8 @@ class ExperimentConfig:
             raise ValueError(f"mean_step={self.mean_step} must divide mean_max - mean_min into whole steps")
         if self.m < 1 or self.d < 1:
             raise ValueError(f"need m >= 1 and d >= 1, got m={self.m}, d={self.d}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if self.j_cap < self.b:
-            raise ValueError(f"need j_cap >= b, got j_cap={self.j_cap}, b={self.b}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got {self.eta}")
         if self.worker_means is not None:
             if self.pool_seed is not None:
                 raise ValueError(f"worker_means fixes the pool; pool_seed={self.pool_seed} would be ignored")
@@ -246,7 +241,7 @@ def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
     points = config.switching_points()
     if points is not None:
         return RoundSchedule(points)
-    return compute_schedule(sgd.estimate_bound_params(problem), config.b, config.theta, config.j_cap)
+    return compute_schedule(sgd.estimate_bound_params(problem), config.b)
 
 
 @dataclass(eq=False)
@@ -333,10 +328,8 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     employ = np.broadcast_to(np.int64(n), rounds.shape) if is_ksync else rounds
     state = BanditState.zeros(n)
 
-    start = 0
-    for r, stop in enumerate(schedule.switching_points, start=1):
-        count, lo, hi = stop - start, offsets[start], offsets[stop]
-        arms, resp = members[lo:hi].reshape(count, r), member_resp[lo:hi].reshape(count, r)
+    for arms, resp in zip(schedule.round_rows(members), schedule.round_rows(member_resp)):
+        count, r = arms.shape
         if variant is not None:
             # scaling a standard exponential by the mean is exactly how member_responses draws it
             latency_rng.standard_exponential(out=resp)
@@ -355,7 +348,6 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
                     draws = member_responses(pool, arm, latency_rng, size)
                     arms[rows], resp[rows] = arm, draws
                 record_outcome(state, arm, draws, pool)
-        start = stop
 
     return RunTrace(
         policy=policy,
@@ -481,7 +473,7 @@ def run_comparison(config: ExperimentConfig):
     setups = [SeedSetup.build(config, s) for s in config.seeds]
     if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
-    horizon = setups[0].schedule.horizon
+    iters = np.arange(1, setups[0].schedule.horizon + 1)  # every curve's and table's iteration index
     bound = None
     if bandits and config.pool_is_pinned:
         # one pinned pool: one gap report gives every seed's reference means and
@@ -489,7 +481,7 @@ def run_comparison(config: ExperimentConfig):
         pool, schedule = setups[0].pool, setups[0].schedule
         gaps = analysis.compute_gaps(pool, schedule)
         references = [gaps.optimal_means] * len(setups)
-        bound = analysis.regret_bound_table(pool, schedule, np.arange(1, horizon + 1), gaps=gaps)
+        bound = analysis.regret_bound_table(pool, schedule, iters, gaps=gaps)
     else:
         references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
 
@@ -507,9 +499,9 @@ def run_comparison(config: ExperimentConfig):
             for trace in runs:
                 write_trace_csv(trace, os.path.join(config.out_dir, f"trace_{policy}_{trace.seed}.csv"))
         result["error_curves"][policy] = {
-            "iter": np.arange(1, horizon + 1),
+            "iter": iters,
             "cum_time_mean": np.mean([t.cum_times for t in runs], axis=0),
-            "cum_employments": runs[0].cum_employments.copy(),
+            "cum_employments": runs[0].cum_employments,
             "model_error_mean": np.mean([t.model_errors for t in runs], axis=0),
         }
         if policy != "adaptive-ksync":
@@ -534,7 +526,7 @@ def run_comparison(config: ExperimentConfig):
                 analysis.empirical_regret(t, s.pool, s.schedule, ref) for t, s, ref in zip(runs, setups, references)
             ]
             result["regret"][policy] = {
-                "iter": np.arange(1, horizon + 1),
+                "iter": iters,
                 "mean_regret": np.mean(per_run, axis=0),
                 **(bound or {}),
             }

@@ -15,9 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import WorkerPool
+from .latency import WorkerPool, block_rows
 
 SUBOPTIMALITY_TOL = 1e-12
+
+# compute_schedule's proximity factor and iteration cap
+THETA = 0.1
+J_CAP = 1_000_000
 
 RADIUS_VARIANTS = ("plain", "scaled")
 
@@ -61,11 +65,19 @@ def suboptimal_rows(pool: WorkerPool, arms: np.ndarray) -> np.ndarray:
     ``SUBOPTIMALITY_TOL``. Comparing sorted means decides the expected-max
     comparison: the expected max strictly increases when any member's mean
     strictly increases, and the optimal set holds the r smallest means, so a
-    mean multiset mismatch forces a strictly larger expected max.
+    mean multiset mismatch forces a strictly larger expected max. The rows
+    are judged ``block_rows(r)`` at a time, so the member means held at once
+    follow the block, not ``L``.
     """
-    member_means = pool.means[arms]
-    member_means.sort(axis=1)
-    return (member_means > pool.sorted_means[: arms.shape[1]] + SUBOPTIMALITY_TOL).any(axis=1)
+    iterations, r = arms.shape
+    flags = np.empty(iterations, dtype=bool)
+    limit = pool.sorted_means[:r] + SUBOPTIMALITY_TOL
+    step = block_rows(r)
+    for lo in range(0, iterations, step):
+        member_means = pool.means[arms[lo : lo + step]]
+        member_means.sort(axis=1)
+        np.any(member_means > limit, axis=1, out=flags[lo : lo + step])
+    return flags
 
 
 def select_superarm_cmab(
@@ -229,13 +241,22 @@ class RoundSchedule:
     def round_lengths(self) -> np.ndarray:
         return np.diff(np.concatenate([[0], self._points_arr]))
 
+    def round_rows(self, flat: np.ndarray):
+        """Each round's ``(T_r - T_{r-1}, r)`` view of ``flat``, a per-member array of ``budget`` values."""
+        if flat.shape != (self.budget,):
+            raise ValueError(f"a per-member array holds {self.budget} values, got shape {flat.shape}")
+        lo = 0
+        for r, count in enumerate(self.round_lengths().tolist(), start=1):
+            yield flat[lo : lo + count * r].reshape(count, r)
+            lo += count * r
+
     @property
     def budget(self) -> int:
         """Total worker employments: sum over rounds of r * (T_r - T_{r-1})."""
         return int((np.arange(1, self.b + 1) * self.round_lengths()).sum())
 
 
-def compute_schedule(bound_params, b: int, theta: float, j_cap: int) -> RoundSchedule:
+def compute_schedule(bound_params, b: int, theta: float = THETA, j_cap: int = J_CAP) -> RoundSchedule:
     """Switching points from the convergence bound.
 
     Round r is given the smallest number of iterations after which the bound

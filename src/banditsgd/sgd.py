@@ -34,7 +34,6 @@ class SgdProblem:
     y: np.ndarray
     w0: np.ndarray
     eta: float
-    b: int
     s: int
     least_squares_target: np.ndarray
 
@@ -109,7 +108,6 @@ def generate_problem(m: int, d: int, rng: np.random.Generator, *, b: int, eta: f
         y=y,
         w0=w0,
         eta=float(eta),
-        b=int(b),
         s=(m + pad) // b,
         least_squares_target=target,
     )

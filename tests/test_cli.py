@@ -133,12 +133,15 @@ def test_compare_writes_tables(tmp_path, cfg_file, capsys):
 
 
 def test_compare_summary_keeps_the_retired_config_keys(tmp_path, cfg_file):
-    # summary.json still records the four removed config fields, at their fixed values
+    # summary.json still records the six removed config fields, at their fixed values
     out = tmp_path / "cmp"
     assert main(["compare", "--config", cfg_file, "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     config = harness.ExperimentConfig.from_file(cfg_file, out_dir=str(out))
-    retired = {"variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1000000}
+    retired = {
+        "variant": "plain", "bound_tail_term": "pi2/3", "mc_lists": 50, "mc_samples": 1000000,
+        "theta": 0.1, "j_cap": 1000000,
+    }
     assert summary["config"] == {**config.as_dict(), **retired}
 
 
@@ -418,9 +421,9 @@ def test_flag_prefixes_are_not_flags(capsys, argv):
 def test_option_surface_is_pinned():
     # every config field and flag is listed once here, so adding a knob shows up as a diff
     assert [f.name for f in dataclasses.fields(harness.ExperimentConfig)] == [
-        "n", "b", "m", "d", "eta", "seeds", "policies", "schedule", "theta", "j_cap",
-        "mean_min", "mean_max", "mean_step", "distinct_means", "worker_means", "pool_seed",
-        "data_seed", "simulate_sgd", "out_dir", "write_traces",
+        "n", "b", "m", "d", "eta", "seeds", "policies", "schedule", "mean_min", "mean_max",
+        "mean_step", "distinct_means", "worker_means", "pool_seed", "data_seed", "simulate_sgd",
+        "out_dir", "write_traces",
     ]
     (commands,) = (a.choices for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {

@@ -31,7 +31,7 @@ from banditsgd.harness import (
     write_trace_csv,
 )
 from banditsgd.latency import BLOCK_VALUES, block_rows
-from banditsgd.policies import BanditState, RoundSchedule, compute_schedule, record_outcome
+from banditsgd.policies import J_CAP, BanditState, RoundSchedule, compute_schedule, record_outcome
 from banditsgd.sgd import sample_batches
 
 from _garbage import cyclic_package_garbage
@@ -85,8 +85,6 @@ def test_config_validation():
     for bad in (
         dict(eta=0.0),
         dict(eta=-1e-4),
-        dict(theta=0.0),
-        dict(theta=-0.1),
         dict(m=0),
         dict(d=0),
     ):
@@ -108,8 +106,9 @@ def test_config_validation():
     for key in ("pool_seed", "data_seed"):
         with pytest.raises(ValueError, match=f"{key} must be >= 0"):
             ExperimentConfig(**{key: -1})
-    with pytest.raises(ValueError, match="need j_cap >= b"):
-        ExperimentConfig(b=20, j_cap=19)
+    # an infinite step would only fail at the first iteration of a run
+    with pytest.raises(ValueError, match="eta must be finite and > 0, got inf"):
+        ExperimentConfig(eta=math.inf)
     for key, value in (("seeds", (0, 0)), ("policies", ("optimal", "optimal"))):
         with pytest.raises(ValueError, match=f"{key} must not repeat an entry"):
             ExperimentConfig(**{key: value})
@@ -165,8 +164,6 @@ def test_config_fields_round_trip_through_text():
         seeds=(3, 5),
         policies=("cmab-scaled", "optimal"),
         schedule="15,35,60",
-        theta=0.2,
-        j_cap=5000,
         mean_min=0.2,
         mean_max=0.8,
         mean_step=0.05,
@@ -191,11 +188,20 @@ def test_config_fields_round_trip_through_text():
 
 
 @pytest.mark.parametrize(
-    "key, value", [("variant", "plain"), ("bound_tail_term", "pi2/3"), ("mc_lists", "2"), ("mc_samples", "100")]
+    "key, value",
+    [
+        ("variant", "plain"),
+        ("bound_tail_term", "pi2/3"),
+        ("mc_lists", "2"),
+        ("mc_samples", "100"),
+        ("theta", "0.2"),
+        ("j_cap", "500"),
+    ],
 )
 def test_retired_knobs_are_unknown_config_keys(tmp_path, key, value):
     # each bandit policy names its radius variant, the bound has one tail constant,
-    # and verify's sizes are only its flags
+    # verify's sizes are only its flags, and the computed schedule's proximity
+    # factor and iteration cap are compute_schedule's constants
     with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
         ExperimentConfig.from_mapping({key: value})
     path = tmp_path / "exp.cfg"
@@ -445,6 +451,15 @@ def test_suboptimal_flags_sum_to_the_suboptimal_count():
         assert charged > 0
 
 
+def test_final_round_counts_at_one_round_count_every_member():
+    # with one round the final round is the whole run, so the counts are the pulls
+    cfg = small_config(b=1, schedule="40", simulate_sgd=False, policies=("cmab-plain", "cmab-scaled", "optimal"))
+    for policy in cfg.policies:
+        trace = run_single(cfg, policy, 0)
+        np.testing.assert_array_equal(trace.final_round_counts(), trace.pulls)
+        assert trace.final_round_counts().sum() == 40
+
+
 def test_compare_leaves_numpy_ma_unimported(tmp_path):
     # numpy.ma costs about 1 MiB of resident memory; np.intersect1d and np.unique import it
     quick = os.path.join(CONFIG_DIR, "quick.cfg")
@@ -462,12 +477,16 @@ def test_compare_leaves_numpy_ma_unimported(tmp_path):
 
 
 def test_computed_schedule_end_to_end():
-    cfg = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-6, j_cap=500)
+    cfg = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-3)
     trace = run_single(cfg, "optimal", 0)
-    expected = compute_schedule(sgd.estimate_bound_params(build_problem(cfg, 0)), cfg.b, cfg.theta, cfg.j_cap)
+    expected = compute_schedule(sgd.estimate_bound_params(build_problem(cfg, 0)), cfg.b)
     assert trace.schedule == expected
     assert trace.schedule.b == 3
-    assert trace.schedule.horizon <= 500
+    assert trace.schedule.horizon < J_CAP
+    # a step this small needs more than J_CAP iterations, so the rounds are compressed
+    # under the cap; the schedule alone shows it, without a million-iteration run
+    slow = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-6)
+    assert resolve_schedule(slow, build_problem(slow, 0)).switching_points == (J_CAP - 2, J_CAP - 1, J_CAP)
 
 
 # ---------------------------------------------------------------- CSV
@@ -581,13 +600,14 @@ def test_feedback_free_rounds_hold_one_block_of_draws(paper_scale_setup, policy)
 
 def test_bandit_round_writes_the_trace_in_place(paper_scale_setup):
     # the bandit writes each round's members into the trace; beyond it, the run
-    # holds the final round's (9000, 20) float64 member means of the
-    # suboptimality test and its (9000,) least-pulled members, 1.44 MiB. It
-    # traces 1.47 MiB, so the bound leaves a margin of about 8%. A round that
-    # returned int64 arms for the run to copy would trace 2.84 MiB
+    # holds the final round's (9000,) least-pulled members and one block of the
+    # suboptimality test's member means. It traces 0.215 MiB, so the bound of
+    # 0.25 MiB leaves a margin of about 16%. A suboptimality test that built the
+    # final round's (9000, 20) float64 member means at once traced 1.47 MiB, and
+    # a round that returned int64 arms for the run to copy 2.84 MiB
     config, setup = paper_scale_setup
     _, peak, held = traced_call(functools.partial(run_single, config, "cmab-plain", 0, setup))
-    budget = 1.1 * (9000 * 20 * 8 + 9000 * 8)
+    budget = 0.25 * 2**20
     assert peak - held <= budget, f"cmab-plain traced {(peak - held) / 2**20:.2f} MiB over its trace"
 
 

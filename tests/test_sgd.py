@@ -26,18 +26,18 @@ def make_problem(m=40, d=5, b=4, eta=1e-5, seed=0):
     return generate_problem(m, d, np.random.default_rng(seed), b=b, eta=eta)
 
 
-def tiny_problem(X, y, w, eta=1.0, s=1, b=1):
+def tiny_problem(X, y, w, eta=1.0, s=1):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     w = np.asarray(w, dtype=float)
     target, *_ = np.linalg.lstsq(X, y, rcond=None)
-    return SgdProblem(X=X, y=y, w0=w.copy(), eta=eta, b=b, s=s, least_squares_target=target)
+    return SgdProblem(X=X, y=y, w0=w.copy(), eta=eta, s=s, least_squares_target=target)
 
 
 def test_shapes_and_ranges():
     p = make_problem(m=30, d=4, b=5)
     assert p.X.shape == (30, 4) and p.y.shape == (30,) and p.w0.shape == (4,)
-    assert p.s == 6 and p.s * p.b == p.m
+    assert p.s == 6 and p.s * 5 == p.m
     assert np.all(p.X >= 1.0) and np.all(p.X <= 10.0)
     assert np.all(p.w0 >= 1.0) and np.all(p.w0 <= 100.0)
 
@@ -171,7 +171,7 @@ def test_model_error_zero_at_target_and_permutation_invariant():
 
     q = make_problem(seed=5)
     perm = np.random.default_rng(6).permutation(q.m)
-    shuffled = tiny_problem(q.X[perm], q.y[perm], q.w0, eta=q.eta, s=q.s, b=q.b)
+    shuffled = tiny_problem(q.X[perm], q.y[perm], q.w0, eta=q.eta, s=q.s)
     assert model_error(shuffled, q.w0) == pytest.approx(model_error(q, q.w0), rel=1e-9)
 
 

@@ -198,12 +198,14 @@ def regret_bound_table(pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: G
     horizon is ``log j``, so ``bound_log_truncated`` and ``bound_tighter``
     are the ``bound_log_iter`` curve; the output keeps all three. None when
     the bound does not apply: it needs every rate >= 1 and a positive,
-    finite minimum gap.
+    finite minimum gap. Each skip logs its reason once at ``warning``.
     """
     if not pool.theorem_valid:
+        logger.warning("regret bound skipped: rate %s is below 1, outside the guarantee's assumption", pool.rates.min())
         return None
     gaps = _gaps_for(pool, schedule, gaps)
     if not 0.0 < gaps.delta_min < math.inf:
+        logger.warning("regret bound skipped: delta_min is %s, not positive and finite", gaps.delta_min)
         return None
     curve = regret_bound_curve(pool, schedule, js, gaps=gaps)
     return dict.fromkeys(("bound_log_iter", "bound_log_truncated", "bound_tighter"), curve)

@@ -62,9 +62,9 @@ def stream_rng(seed: int, label: str) -> np.random.Generator:
 class ExperimentConfig:
     """Flat experiment description; file keys and CLI flags map 1:1 to fields.
 
-    ``schedule`` is either the literal string "computed" (switching points
-    derived from the convergence bound by ``policies.compute_schedule``) or a
-    comma-separated list of ``b`` strictly increasing iteration indices.
+    ``schedule`` is either "computed" (switching points from the convergence
+    bound by ``policies.compute_schedule``, failing past ``policies.J_CAP``) or
+    a comma-separated list of ``b`` strictly increasing iteration indices.
     Worker means are drawn from the grid ``mean_min..mean_max`` in steps of
     ``mean_step`` (a whole number of steps), with replacement unless
     ``distinct_means`` is set. Policies and seeds are listed once each.
@@ -474,7 +474,7 @@ def run_comparison(config: ExperimentConfig):
     if any(s.schedule.switching_points != setups[0].schedule.switching_points for s in setups):
         raise ValueError("computed schedules differ across seeds; pin data_seed or use an explicit schedule")
     iters = np.arange(1, setups[0].schedule.horizon + 1)  # every curve's and table's iteration index
-    bound = None
+    bound, references = None, []
     if bandits and config.pool_is_pinned:
         # one pinned pool: one gap report gives every seed's reference means and
         # the worst-case guarantee, the same for every bandit policy
@@ -482,8 +482,9 @@ def run_comparison(config: ExperimentConfig):
         gaps = analysis.compute_gaps(pool, schedule)
         references = [gaps.optimal_means] * len(setups)
         bound = analysis.regret_bound_table(pool, schedule, iters, gaps=gaps)
-    else:
-        references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups] if bandits else []
+    elif bandits:
+        logger.info("regret tables carry no bound column: the pool is not pinned, so each seed draws its own")
+        references = [analysis.round_reference_means(s.pool, s.schedule) for s in setups]
 
     result = {"error_curves": {}, "employment_profiles": {}, "regret": {}}
     summary = result["summary"] = {

@@ -256,35 +256,31 @@ class RoundSchedule:
         return int((np.arange(1, self.b + 1) * self.round_lengths()).sum())
 
 
-def compute_schedule(bound_params, b: int, theta: float = THETA, j_cap: int = J_CAP) -> RoundSchedule:
+def compute_schedule(bound_params, b: int) -> RoundSchedule:
     """Switching points from the convergence bound.
 
     Round r is given the smallest number of iterations after which the bound
-    with k=r falls within a factor (1+theta) of its error floor, each round
-    starting from the same initial gap; the per-round durations are then laid
-    out consecutively. The cumulative points are compressed to fit ``j_cap``
-    while staying strictly increasing.
+    with k=r falls within a factor (1+THETA) of its error floor, each round
+    starting from the same initial gap; the switching points are the running
+    sum of these durations. A schedule that runs past ``J_CAP`` iterations
+    is rejected, naming its horizon and the first round that ends past the cap.
     """
     from .sgd import convergence_bound  # local import; sgd has no policy deps
 
     if b < 1:
         raise ValueError("need b >= 1")
-    if theta <= 0:
-        raise ValueError("theta must be > 0")
-    if j_cap < b:
-        raise ValueError(f"j_cap={j_cap} cannot fit {b} rounds of at least one iteration")
     if bound_params.decay <= 0:
         raise ValueError("eta * convexity must be < 1 to compute a schedule")
 
     durations = []
     for r in range(1, b + 1):
         floor = bound_params.error_floor(r)
-        target = (1.0 + theta) * floor
+        target = (1.0 + THETA) * floor
         slack = bound_params.initial_gap - floor
-        if slack <= theta * floor:
+        if slack <= THETA * floor:
             d = 1
         else:
-            d = max(1, math.ceil(math.log(theta * floor / slack) / math.log(bound_params.decay)))
+            d = max(1, math.ceil(math.log(THETA * floor / slack) / math.log(bound_params.decay)))
             # guard the ceil against float rounding on either side
             while d > 1 and convergence_bound(bound_params, r, d - 1) <= target:
                 d -= 1
@@ -292,9 +288,9 @@ def compute_schedule(bound_params, b: int, theta: float = THETA, j_cap: int = J_
                 d += 1
         durations.append(d)
 
-    points = []
-    cum = 0
-    for r, d in enumerate(durations, start=1):
-        cum += d
-        points.append(min(cum, j_cap - (b - r)))
+    points = np.cumsum(durations)
+    if points[-1] > J_CAP:
+        late = np.searchsorted(points, J_CAP, side="right") + 1  # the first round that ends past the cap
+        raise ValueError(f"computed schedule runs {points[-1]} iterations and round {late} ends past "
+                         f"J_CAP={J_CAP}; use a larger eta or explicit switching points")
     return RoundSchedule(tuple(points))

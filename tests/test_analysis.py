@@ -211,17 +211,29 @@ def test_regret_bound_curve_matches_scalar():
         assert regret_bound(pool, sched, 27000.5, gaps=report) == oracle_regret_bound(*inputs, 27000.5)
 
 
-def test_regret_bound_table_columns_and_applicability():
+def test_regret_bound_table_columns_and_applicability(caplog):
     pool = WorkerPool([1.0, 1.5, 3.0])
     sched = RoundSchedule((5, 12, 30))
     js = np.arange(1, 31)
-    table = regret_bound_table(pool, sched, js)
+    with caplog.at_level(logging.WARNING, logger="banditsgd"):
+        table = regret_bound_table(pool, sched, js)
+    assert caplog.records == []  # an applicable bound logs nothing
     curve = regret_bound_curve(pool, sched, js)
     assert list(table) == ["bound_log_iter", "bound_log_truncated", "bound_tighter"]
     for column in table.values():  # within the horizon the three forms are one curve
         assert column.tobytes() == curve.tobytes()
-    assert regret_bound_table(WorkerPool([0.5, 2.0]), RoundSchedule((5,)), js) is None  # a rate below 1
-    assert regret_bound_table(WorkerPool([2.0, 2.0]), RoundSchedule((6,)), js) is None  # no positive gap
+    # each skip logs its own reason, once
+    skips = [
+        ([0.5, 2.0], 5, "regret bound skipped: rate 0.5 is below 1, outside the guarantee's assumption"),
+        ([2.0, 2.0], 6, "regret bound skipped: delta_min is inf, not positive and finite"),
+    ]
+    for rates, horizon, reason in skips:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="banditsgd"):
+            assert regret_bound_table(WorkerPool(rates), RoundSchedule((horizon,)), js) is None
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+            ("banditsgd.analysis", logging.WARNING, reason)
+        ]
 
 
 PAST_HORIZON_CALLS = {

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from banditsgd import analysis, harness, verify
+from banditsgd import analysis, harness, policies, verify
 from banditsgd.cli import _parser, main
 from banditsgd.harness import TRACE_HEADER
 
@@ -241,6 +241,43 @@ def test_bounds_computed_schedule_needs_sgd(tmp_path, capsys):
     assert main(["bounds", "--config", cfg, "--rates", "1,2,4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: computed schedule mode") and "simulate_sgd" in err
+
+
+@pytest.mark.parametrize("command", ["compare", "bounds"])
+def test_computed_schedule_past_j_cap_fails_before_output(tmp_path, capsys, command):
+    # eta = 1e-6 needs millions of iterations per round: the schedule fails when it is resolved
+    cfg = _mini_cfg(tmp_path, "n = 6\nb = 3\nm = 60\nd = 3\neta = 1e-6\nseeds = 0\n")
+    config = harness.ExperimentConfig.from_file(cfg, schedule="computed")
+    with pytest.raises(ValueError) as exc:
+        harness.resolve_schedule(config, harness.build_problem(config, 0))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--schedule", "computed", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {exc.value}\n")
+    assert f"J_CAP={policies.J_CAP}" in captured.err
+    assert not out.exists()
+
+
+def test_bounds_logs_why_the_regret_bound_is_skipped(tmp_path, capsys):
+    # a rate below 1 is outside the guarantee's assumption: the JSON says so in its note, the log says why
+    argv = ["bounds", "--rates", "0.5,2", "--config", _mini_cfg(tmp_path, "n = 2\nb = 1\nschedule = 5\n")]
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert main([*argv, "--log-level", "warning"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    assert json.loads(loud.out)["regret_bound_note"].startswith("regret bound skipped")
+    reason = "regret bound skipped: rate 0.5 is below 1, outside the guarantee's assumption"
+    assert loud.err == f"WARNING banditsgd.analysis: {reason}\n"
+
+
+def test_unpinned_compare_logs_why_its_regret_tables_have_no_bound(tmp_path, cfg_file, capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", cfg_file, "--out", str(out), "--log-level", "info"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("INFO banditsgd.harness: regret tables carry no bound column: the pool is not pinned") == 1
+    with open(out / "regret_cmab-plain.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["iter", "mean_regret"]
 
 
 @pytest.mark.parametrize(

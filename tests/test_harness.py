@@ -123,10 +123,20 @@ def test_config_validation():
     assert ExperimentConfig(mean_min=0.2, mean_max=0.8, mean_step=0.05).mean_grid().size == 13
 
 
-@pytest.mark.parametrize("name", sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg"))))
+CONFIG_NAMES = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_config_file_parses(name):
     # configs/ is the one place an experiment shape is written
     ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name))
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_config_computed_schedule_fits_under_j_cap(name):
+    # a computed schedule past J_CAP fails, so every shipped shape must stay under it
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, name), schedule="computed")
+    assert resolve_schedule(cfg, build_problem(cfg, 0)).horizon < J_CAP
 
 
 def test_committed_configs_load():
@@ -483,10 +493,10 @@ def test_computed_schedule_end_to_end():
     assert trace.schedule == expected
     assert trace.schedule.b == 3
     assert trace.schedule.horizon < J_CAP
-    # a step this small needs more than J_CAP iterations, so the rounds are compressed
-    # under the cap; the schedule alone shows it, without a million-iteration run
+    # a step this small needs more than J_CAP iterations, so the schedule fails when it is resolved
     slow = small_config(schedule="computed", m=60, d=3, b=3, n=6, eta=1e-6)
-    assert resolve_schedule(slow, build_problem(slow, 0)).switching_points == (J_CAP - 2, J_CAP - 1, J_CAP)
+    with pytest.raises(ValueError, match=f"runs 6398571 iterations and round 1 ends past J_CAP={J_CAP}"):
+        resolve_schedule(slow, build_problem(slow, 0))
 
 
 # ---------------------------------------------------------------- CSV

@@ -1,6 +1,7 @@
 """Selection policies, bandit bookkeeping, and round scheduling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from banditsgd.harness import ExperimentConfig, run_single, stream_rng
 from banditsgd.latency import WorkerPool, block_rows, expected_max
 from banditsgd.policies import (
+    J_CAP,
     BanditState,
     RoundSchedule,
     compute_schedule,
@@ -395,36 +397,36 @@ def test_ksync_fastest_of_two_empirical_mean():
 # ---------------------------------------------------------------- scheduling
 
 
-def unit_params(eta=0.1):
-    return BoundParams(lipschitz=1.0, convexity=1.0, sigma2=1.0, initial_gap=1.0, s=1, eta=eta)
+def unit_params(eta=0.1, initial_gap=1.0):
+    return BoundParams(lipschitz=1.0, convexity=1.0, sigma2=1.0, initial_gap=initial_gap, s=1, eta=eta)
 
 
 def test_schedule_first_round_closed_form():
-    sched = compute_schedule(unit_params(), 1, theta=0.1, j_cap=10**6)
+    sched = compute_schedule(unit_params(), 1)
     assert sched.switching_points == (50,)
 
 
 def test_schedule_huge_theta_single_iteration_rounds():
-    sched = compute_schedule(unit_params(), 4, theta=1e12, j_cap=10**6)
+    # an initial gap already within THETA of every round's floor (0.05 / k) needs one iteration per round
+    sched = compute_schedule(unit_params(initial_gap=0.01), 4)
     assert sched.switching_points == (1, 2, 3, 4)
 
 
 def test_schedule_strictly_increasing_and_capped():
-    sched = compute_schedule(unit_params(), 3, theta=0.1, j_cap=60)
-    points = sched.switching_points
-    assert all(b > a for a, b in zip(points, points[1:]))
-    assert points[-1] <= 60
-    uncapped = compute_schedule(unit_params(), 3, theta=0.1, j_cap=10**6)
-    assert uncapped.switching_points == (50, 107, 168)
+    assert compute_schedule(unit_params(), 3).switching_points == (50, 107, 168)
+    assert compute_schedule(unit_params(eta=2e-5), 1).switching_points == (690769,)
+    # a schedule longer than J_CAP fails, naming its horizon and the first round that ends past the cap
+    for eta, b, horizon, late in ((1e-6, 3, 52225462, 1), (2e-5, 2, 1416195, 2)):
+        message = f"computed schedule runs {horizon} iterations and round {late} ends past J_CAP={J_CAP}; "
+        with pytest.raises(ValueError, match=re.escape(message + "use a larger eta or explicit switching points")):
+            compute_schedule(unit_params(eta=eta), b)
 
 
 def test_schedule_faults():
     with pytest.raises(ValueError):
-        compute_schedule(unit_params(eta=1.0), 2, theta=0.1, j_cap=10**6)  # eta * c = 1, no decay
-    with pytest.raises(ValueError):
-        compute_schedule(unit_params(), 2, theta=0.0, j_cap=10**6)
-    with pytest.raises(ValueError):
-        compute_schedule(unit_params(), 5, theta=0.1, j_cap=4)
+        compute_schedule(unit_params(eta=1.0), 2)  # eta * c = 1, no decay
+    with pytest.raises(ValueError, match="need b >= 1"):
+        compute_schedule(unit_params(), 0)
 
 
 def test_round_schedule_accessors():

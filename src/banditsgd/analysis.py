@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import WorkerPool, expected_max, max_moments
+from .latency import WorkerPool, expected_max, max_moments, response_vector
 from .policies import RoundSchedule, select_superarm_optimal, suboptimal_rows
 
 logger = logging.getLogger(__name__)
@@ -79,8 +79,8 @@ class RunTrace:
 
     Iteration j (1-based) lives at array index j-1. ``members`` holds the
     chosen superarm of every iteration back to back (the k used workers for
-    the k-sync baseline), delimited by ``member_offsets``; ``member_responses``
-    aligns with it. ``model_errors`` is NaN when the run was latency-only.
+    the k-sync baseline), delimited by ``member_offsets``; ``response_times``
+    is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
     """
 
     policy: str
@@ -93,12 +93,25 @@ class RunTrace:
     model_errors: np.ndarray
     member_offsets: np.ndarray
     members: np.ndarray
-    member_responses: np.ndarray
     pulls: np.ndarray
     suboptimal_pulls: np.ndarray
 
     def __len__(self) -> int:
         return int(self.rounds.size)
+
+    @property
+    def member_responses(self) -> np.ndarray:
+        """Each member's response time, aligned with ``members``: not stored, but redrawn read-only from
+        the seed's latency stream along ``run_single``'s blocks, so each read costs one run's draws."""
+        from .harness import stream_rng  # local import: harness builds on this module
+
+        rng, ksync, pool = stream_rng(self.seed, "worker-latency"), self.policy == "adaptive-ksync", self.pool
+        out = np.empty(self.members.size)
+        for _, arms, resp in self.schedule.blocks(pool.n if ksync else None, self.members, out):
+            draws = response_vector(pool, rng, len(arms)) if ksync else rng.standard_exponential(arms.shape)
+            resp[:] = np.take_along_axis(draws, arms, axis=1) if ksync else draws * pool.means[arms]
+        out.flags.writeable = False
+        return out
 
     @functools.cached_property
     def cum_times(self) -> np.ndarray:

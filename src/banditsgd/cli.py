@@ -127,10 +127,7 @@ def _cmd_verify(args) -> int:
 
 @contextlib.contextmanager
 def _log_to_stderr(level):
-    """Show the package's log records at ``level`` and above on stderr; no-op for None."""
-    if level is None:
-        yield
-        return
+    """Show the package's log records at ``level`` and above on stderr, and no others."""
     package = logging.getLogger(__package__)
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -154,9 +151,8 @@ def _parser() -> argparse.ArgumentParser:
     add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def add_common(p):
-        p.add_argument(
-            "--log-level", choices=("debug", "info", "warning", "error"), help="write log records to stderr"
-        )
+        levels = ("debug", "info", "warning", "error")
+        p.add_argument("--log-level", choices=levels, default="warning", help="write log records to stderr")
 
     p_run = add_parser("run", help="run one policy/seed and write its trace CSV")
     add_common(p_run)

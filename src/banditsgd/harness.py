@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, policies, sgd
 from .analysis import RunTrace
-from .latency import SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
+from .latency import BLOCK_VALUES, SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
 from .policies import (
     RADIUS_VARIANTS,
     BanditState,
@@ -297,14 +297,14 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     member order) from the latency stream, the k-sync baseline n (index
     order), in iteration order; the learning trajectory consumes r*m uniforms
     from the batch stream whatever the policy. The stream is drawn in blocks
-    of rows, which consumes it the same way. The omniscient and k-sync
-    policies, whose choices need no feedback, draw and book each round one
-    block of ``block_rows(width)`` rows at a time (the width is r, or n for
-    k-sync, which books the superarm of all n workers), so a round of any
-    length holds one block of draws. The bandit draws the whole round's
-    standard exponentials into the trace's responses and hands them and the
-    round's rows of the trace's members to one ``select_superarm_cmab`` call,
-    which fills both in place an iteration at a time.
+    of rows, which consumes it the same way. Every policy walks each round
+    one block of ``block_rows(width)`` rows at a time (``RoundSchedule.blocks``;
+    the width is r, or n for k-sync, which books all n workers), so a round
+    of any length holds one block of draws. The bandit draws a block's
+    standard exponentials into one reused buffer and hands it and the block's
+    rows of the trace's members to ``select_superarm_cmab``, which fills both
+    in place. Each block's row maxima go into ``response_times``; the
+    per-member responses are not kept (``RunTrace.member_responses``).
 
     The trace shares the setup's read-only arrays rather than copying them:
     ``rounds``, ``member_offsets`` and ``model_errors``, and ``employments``,
@@ -324,30 +324,27 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     n = pool.n
 
     members = np.empty(offsets[-1], dtype=np.int32)
-    member_resp = np.empty(offsets[-1], dtype=np.float64)
+    times = np.empty(rounds.size)
     employ = np.broadcast_to(np.int64(n), rounds.shape) if is_ksync else rounds
     state = BanditState.zeros(n)
+    buffer = np.empty(max(BLOCK_VALUES, n)) if variant is not None else None
 
-    for arms, resp in zip(schedule.round_rows(members), schedule.round_rows(member_resp)):
-        count, r = arms.shape
+    for rows, arms in schedule.blocks(n if is_ksync else None, members):
+        size, r = arms.shape
         if variant is not None:
-            # scaling a standard exponential by the mean is exactly how member_responses draws it
-            latency_rng.standard_exponential(out=resp)
-            select_superarm_cmab(state, variant, pool, resp, arms)
-        else:
+            draws = latency_rng.standard_exponential(out=buffer[: arms.size].reshape(size, r))
+            select_superarm_cmab(state, variant, pool, draws, arms)  # scales the draws by the members' means
+        elif is_ksync:
             # k-sync draws for all n workers and keeps the r fastest of each row
-            arm = np.arange(n) if is_ksync else select_superarm_optimal(pool, r)
-            step = block_rows(arm.size)
-            for i in range(0, count, step):
-                rows, size = slice(i, i + step), min(step, count - i)
-                if is_ksync:
-                    draws = response_vector(pool, latency_rng, size)
-                    arms[rows] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
-                    resp[rows] = np.take_along_axis(draws, arms[rows], axis=1)
-                else:
-                    draws = member_responses(pool, arm, latency_rng, size)
-                    arms[rows], resp[rows] = arm, draws
-                record_outcome(state, arm, draws, pool)
+            draws = response_vector(pool, latency_rng, size)
+            record_outcome(state, np.arange(n), draws, pool)
+            arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
+            draws = np.take_along_axis(draws, arms, axis=1)
+        else:
+            arms[:] = arm = select_superarm_optimal(pool, r)
+            draws = member_responses(pool, arm, latency_rng, size)
+            record_outcome(state, arm, draws, pool)
+        draws.max(axis=1, out=times[rows])
 
     return RunTrace(
         policy=policy,
@@ -355,12 +352,11 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         schedule=schedule,
         pool=pool,
         rounds=rounds,
-        response_times=np.maximum.reduceat(member_resp, offsets[:-1]),
+        response_times=times,
         employments=employ,
         model_errors=setup.model_errors,
         member_offsets=offsets,
         members=members,
-        member_responses=member_resp,
         pulls=state.pulls,
         suboptimal_pulls=state.suboptimal_pulls,
     )

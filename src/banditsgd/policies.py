@@ -65,18 +65,21 @@ def suboptimal_rows(pool: WorkerPool, arms: np.ndarray) -> np.ndarray:
     ``SUBOPTIMALITY_TOL``. Comparing sorted means decides the expected-max
     comparison: the expected max strictly increases when any member's mean
     strictly increases, and the optimal set holds the r smallest means, so a
-    mean multiset mismatch forces a strictly larger expected max. The rows
-    are judged ``block_rows(r)`` at a time, so the member means held at once
-    follow the block, not ``L``.
+    mean multiset mismatch forces a strictly larger expected max. A worker's
+    level counts the entries of ``sorted_means + SUBOPTIMALITY_TOL`` below its
+    mean, so the v-th smallest member mean exceeds the v-th entry exactly when
+    the v-th smallest member level is at least v. Rows are judged on levels,
+    in the smallest integer type, ``block_rows(r)`` at a time.
     """
     iterations, r = arms.shape
     flags = np.empty(iterations, dtype=bool)
-    limit = pool.sorted_means[:r] + SUBOPTIMALITY_TOL
+    levels = np.searchsorted(pool.sorted_means + SUBOPTIMALITY_TOL, pool.means).astype(np.min_scalar_type(pool.n))
+    ranks = np.arange(r, dtype=levels.dtype)
     step = block_rows(r)
     for lo in range(0, iterations, step):
-        member_means = pool.means[arms[lo : lo + step]]
-        member_means.sort(axis=1)
-        np.any(member_means > limit, axis=1, out=flags[lo : lo + step])
+        member_levels = levels[arms[lo : lo + step]]
+        member_levels.sort(axis=1)
+        np.any(member_levels > ranks, axis=1, out=flags[lo : lo + step])
     return flags
 
 
@@ -85,15 +88,16 @@ def select_superarm_cmab(
 ) -> np.ndarray:
     """Play the next ``L`` iterations of one bandit round; write their superarms into ``arms`` and return it.
 
-    ``draws`` is the round's ``(L, r)`` float64 block of standard exponential
-    variates; its first row is iteration ``j = state.current_iteration + 1``.
+    ``draws`` is an ``(L, r)`` float64 block of standard exponential variates,
+    any run of a round's rows (``run_single`` passes ``block_rows(r)`` at a
+    time); its first row is iteration ``j = state.current_iteration + 1``.
     For each iteration in turn this writes the ``r`` workers with the lowest
     LCBs on the counters so far (ties to the lowest index, in ascending order)
     to that row of ``arms``, the caller's integer array of the draws' shape,
     scales that row of ``draws`` in place by the members' mean response times,
     so the row becomes the observed responses, and adds the row to the state's
     pulls and response sums. Each iteration also notes its least-pulled member
-    (the charge ``record_outcome`` makes); the round's suboptimal rows
+    (the charge ``record_outcome`` makes); the block's suboptimal rows
     (``suboptimal_rows``) are charged to those members at the end.
 
     An arm's LCB at iteration ``j`` is its empirical mean minus the radius
@@ -249,6 +253,16 @@ class RoundSchedule:
         for r, count in enumerate(self.round_lengths().tolist(), start=1):
             yield flat[lo : lo + count * r].reshape(count, r)
             lo += count * r
+
+    def blocks(self, width: int | None, *flats: np.ndarray):
+        """``round_rows`` of ``flats`` in blocks of ``block_rows(width or r)`` rows, each with its iterations' slice."""
+        lo = 0
+        for views in zip(*map(self.round_rows, flats)):
+            count, r = views[0].shape
+            step = block_rows(width or r)
+            for i in range(0, count, step):
+                yield (slice(lo + i, lo + min(i + step, count)), *(v[i : i + step] for v in views))
+            lo += count
 
     @property
     def budget(self) -> int:

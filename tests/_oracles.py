@@ -293,8 +293,9 @@ def reference_run_single(config, policy, seed):
     superarm for the bandit and omniscient policies, a one-row
     ``response_vector`` block for k-sync. The bandit picks with
     ``select_superarm`` on the ``lcb_values`` vector; the bandit and omniscient
-    policies book with ``book_iteration``. The returned trace carries the same
-    arrays as the package's run.
+    policies book with ``book_iteration``. Returns ``(trace, responses)``: a
+    trace with the same arrays as the package's run, and the per-member
+    responses it drew, kept as they were drawn, aligned with its members.
     """
     from banditsgd.analysis import RunTrace
     from banditsgd.harness import BANDIT_VARIANTS, SeedSetup, stream_rng
@@ -336,7 +337,7 @@ def reference_run_single(config, policy, seed):
         pulls, subopt = np.full(n, horizon, dtype=np.int64), np.zeros(n, dtype=np.int64)
     else:
         pulls, subopt = state.pulls, state.suboptimal_pulls
-    return RunTrace(
+    trace = RunTrace(
         policy=policy,
         seed=int(seed),
         schedule=schedule,
@@ -347,10 +348,10 @@ def reference_run_single(config, policy, seed):
         model_errors=setup.model_errors,
         member_offsets=offsets,
         members=members,
-        member_responses=member_resp,
         pulls=pulls,
         suboptimal_pulls=subopt,
     )
+    return trace, member_resp
 
 
 def reference_comparison(config) -> tuple[dict, dict]:

@@ -352,6 +352,22 @@ def test_log_level_surfaces_library_warnings(tmp_path, capsys):
     assert "clamped" not in capsys.readouterr().err
 
 
+def test_log_level_decides_what_stderr_shows(tmp_path, capsys):
+    # both warnings of this call come formatted whether or not the flag is given, and --log-level error hides them
+    cfg = _mini_cfg(tmp_path, "n = 3\nb = 3\n")
+    argv = ["bounds", "--config", cfg, "--rates", "0.5,2,3", "--schedule", "5,10,20", "--j", "5,7"]
+    runs = {}
+    for flags in ((), ("--log-level", "warning"), ("--log-level", "error")):
+        assert main([*argv, *flags]) == 0
+        runs[flags] = capsys.readouterr()
+    default, warning, error = runs.values()
+    assert default.err == warning.err
+    assert "WARNING banditsgd.analysis: regret bound skipped: rate 0.5 is below 1" in default.err
+    assert "WARNING banditsgd.analysis: completion_time_bound:" in default.err
+    assert error.err == ""
+    assert default.out == warning.out == error.out
+
+
 def _mini_cfg(tmp_path, text):
     path = tmp_path / "mini.cfg"
     path.write_text(text)

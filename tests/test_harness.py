@@ -338,7 +338,8 @@ def test_trace_structure_and_bookkeeping():
                 assert trace.response_times[j - 1] == pytest.approx(responses_at(trace, j).max())
 
 
-TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray")
+# the trace's array fields, and the per-member responses that it replays on access
+TRACE_ARRAYS = (*(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray"), "member_responses")
 
 
 def _block_seam_points(n):
@@ -353,6 +354,9 @@ def _block_seam_points(n):
     return ",".join(map(str, np.cumsum(lengths)))
 
 
+BLOCK_SEAMS = dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
@@ -364,7 +368,7 @@ def _block_seam_points(n):
         dict(n=12, b=4, schedule="20,50,90,140", mean_step=0.1, distinct_means=False),
         dict(n=9, b=9, schedule="1,2,3,4,5,6,7,8,9", mean_step=0.1, distinct_means=False),
         dict(n=1, b=1, schedule="40", mean_step=0.1),
-        dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01),
+        BLOCK_SEAMS,
     ],
     ids=[
         "n10-b5",
@@ -382,10 +386,11 @@ def test_run_single_matches_per_iteration_reference(shape, policy):
     assert len(TRACE_ARRAYS) == 9
     cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False)
     for seed in (0, 5):
-        trace, reference = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
+        trace, (reference, responses) = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
         assert trace.pool.rates.tobytes() == reference.pool.rates.tobytes()
         for name in TRACE_ARRAYS:
-            got, want = getattr(trace, name), getattr(reference, name)
+            got = getattr(trace, name)
+            want = responses if name == "member_responses" else getattr(reference, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -609,16 +614,45 @@ def test_feedback_free_rounds_hold_one_block_of_draws(paper_scale_setup, policy)
 
 
 def test_bandit_round_writes_the_trace_in_place(paper_scale_setup):
-    # the bandit writes each round's members into the trace; beyond it, the run
-    # holds the final round's (9000,) least-pulled members and one block of the
-    # suboptimality test's member means. It traces 0.215 MiB, so the bound of
-    # 0.25 MiB leaves a margin of about 16%. A suboptimality test that built the
-    # final round's (9000, 20) float64 member means at once traced 1.47 MiB, and
-    # a round that returned int64 arms for the run to copy 2.84 MiB
+    # the bandit writes each round's members into the trace and keeps no
+    # per-member response; beyond the trace, the run holds one block of draws
+    # and the suboptimality test's one block of member levels (a byte each
+    # here, where one block of float64 member means would take 8). So it is
+    # bound by one block of draws plus one block of float64 member means,
+    # 2 * BLOCK_VALUES * 8 bytes, with no margin: it traces 0.89 of that.
+    # A run that kept the (370 000,) member responses traced 4.67 MiB in all,
+    # and float64 member means indexed by the int32 members 0.34 MiB over
+    # the trace
     config, setup = paper_scale_setup
     _, peak, held = traced_call(functools.partial(run_single, config, "cmab-plain", 0, setup))
-    budget = 0.25 * 2**20
-    assert peak - held <= budget, f"cmab-plain traced {(peak - held) / 2**20:.2f} MiB over its trace"
+    assert peak - held <= 2 * BLOCK_VALUES * 8, f"cmab-plain traced {(peak - held) / 2**20:.3f} MiB over its trace"
+    assert peak <= 2.25 * 2**20, f"cmab-plain traced {peak / 2**20:.2f} MiB"
+
+
+def test_bandit_working_set_follows_the_block_not_the_round(paper_scale_setup):
+    # a final round three times as long holds the same blocks beyond its trace
+    config, setup = paper_scale_setup
+    points = setup.schedule.switching_points
+    longer = dataclasses.replace(config, schedule=",".join(map(str, (*points[:-1], points[-1] + 18_000))))
+    run_single(config, "cmab-plain", 0, setup)  # one warm-up for both traced runs
+    overs = []
+    for cfg, stp in ((config, setup), (longer, SeedSetup.build(longer, 0))):
+        assert stp.schedule.round_lengths()[-1] in (9000, 27_000)
+        _, peak, held = traced_call(functools.partial(run_single, cfg, "cmab-plain", 0, stp), warm_up=lambda: None)
+        overs.append(peak - held)
+    assert abs(overs[1] - overs[0]) <= 0.05 * overs[0], f"over-trace peaks {overs} differ by more than 5%"
+
+
+@pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync"])
+def test_replayed_responses_give_the_response_times(policy):
+    # member_responses is redrawn on every read: the same bytes each time,
+    # and each iteration's slowest member is the trace's response time
+    trace = run_single(ExperimentConfig(**BLOCK_SEAMS, distinct_means=True, simulate_sgd=False), policy, 3)
+    first, second = trace.member_responses, trace.member_responses
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert not first.flags.writeable
+    slowest = np.maximum.reduceat(first, trace.member_offsets[:-1])
+    assert slowest.tobytes() == trace.response_times.tobytes()
 
 
 def test_trace_writer_holds_one_block_of_text(paper_scale_setup, tmp_path):

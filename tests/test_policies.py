@@ -230,12 +230,13 @@ def test_round_step_matches_per_iteration_oracle(seed, scaled):
 def test_round_step_temporaries_are_o_l_r(n):
     # the round writes into the caller's int32 arms, made outside the trace, and
     # holds one (L,) row of least-pulled members and, in the once-per-round
-    # suboptimality test, one block of float64 member means and the int64 copy
-    # of its int32 indices. With the block's other temporaries it peaks at 1.24
-    # (n = 50) and 1.30 (n = 500) times those, so the bound leaves a margin of
-    # about 8%. A suboptimality test that built the round's (L, r) member means
-    # at once traced 5.3 times them, and an (L, n) temporary, such as a one-hot
-    # running count of pulls, would trace more still
+    # suboptimality test, one block of member levels (one byte each at n = 50,
+    # two at n = 500) and numpy's 64 KiB buffer for their int32 indices. It
+    # peaks at 0.56 (n = 50) and 0.71 (n = 500) times the bound's unit, the
+    # least row and two float64 blocks; float64 member means traced 1.24 and
+    # 1.30. A suboptimality test that built the round's (L, r) member means
+    # at once traced 5.3 times the unit, and an (L, n) temporary, such as a
+    # one-hot running count of pulls, would trace more still
     iterations, r = 9000, 20
     rng = np.random.default_rng(4)
     pool = WorkerPool(rng.uniform(1.0, 10.0, n))

@@ -75,7 +75,7 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of one seeded run.
+    """Per-iteration record of one seeded run: what its policy chose.
 
     Iteration j (1-based) lives at array index j-1. ``members`` holds the
     chosen superarm of every iteration back to back (the k used workers for
@@ -87,17 +87,24 @@ class RunTrace:
     seed: int
     schedule: RoundSchedule
     pool: WorkerPool
-    rounds: np.ndarray
     response_times: np.ndarray
-    employments: np.ndarray
     model_errors: np.ndarray
-    member_offsets: np.ndarray
     members: np.ndarray
     pulls: np.ndarray
     suboptimal_pulls: np.ndarray
 
     def __len__(self) -> int:
-        return int(self.rounds.size)
+        return self.schedule.horizon
+
+    @property
+    def member_offsets(self) -> np.ndarray:
+        return self.schedule.offsets
+
+    @property
+    def employments(self) -> np.ndarray:
+        """Workers booked per iteration, read-only: ``schedule.rounds``, or all n for k-sync."""
+        ksync = self.policy == "adaptive-ksync"
+        return np.broadcast_to(np.int64(self.pool.n), len(self)) if ksync else self.schedule.rounds
 
     @property
     def member_responses(self) -> np.ndarray:
@@ -127,18 +134,19 @@ class RunTrace:
 
     @functools.cached_property
     def suboptimal_flags(self) -> np.ndarray:
-        """Per iteration, whether the played superarm was suboptimal (``policies.suboptimal_rows``, a round at a time).
+        """Per iteration, whether the played superarm was suboptimal (``policies.suboptimal_rows``, a block at a time).
 
         Their sum is ``suboptimal_count`` for the bandit and omniscient
         policies. A k-sync run differs by design: it books all n workers and
         charges no pull, while its flags judge the r workers it used.
         """
-        return np.concatenate([suboptimal_rows(self.pool, rows) for rows in self.schedule.round_rows(self.members)])
+        blocks = self.schedule.blocks(None, self.members)
+        return np.concatenate([suboptimal_rows(self.pool, rows) for _, rows in blocks])
 
     def final_round_counts(self) -> np.ndarray:
         """Per-worker employment counts within the last round of the schedule."""
-        *_, last = self.schedule.round_rows(self.members)
-        return np.bincount(last.ravel(), minlength=self.pool.n)
+        before = self.schedule.horizon - self.schedule.round_lengths()[-1]  # the iterations before the last round
+        return np.bincount(self.members[self.schedule.offsets[before] :], minlength=self.pool.n)
 
 
 def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:
@@ -165,8 +173,7 @@ def empirical_regret(
         raise ValueError("trace was produced on a different worker pool")
     if reference_means is None:
         reference_means = round_reference_means(pool, schedule)
-    baseline = np.cumsum(reference_means[trace.rounds - 1])
-    return trace.cum_times - baseline
+    return trace.cum_times - np.cumsum(reference_means[trace.schedule.rounds - 1])
 
 
 def _gaps_for(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None) -> GapReport:

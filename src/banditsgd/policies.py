@@ -10,7 +10,9 @@ lower bounds rather than the upper bounds of reward-maximizing bandits.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,6 +196,8 @@ def record_outcome(state: BanditState, superarm, responses, pool: WorkerPool) ->
     (lowest index on ties, pulls as of before this update) is incremented,
     once per iteration.
     """
+    if pool.n != state.n:
+        raise ValueError(f"pool has {pool.n} workers, state has {state.n}")
     arm = pool.validate_superarm(superarm)
     block = np.atleast_2d(np.asarray(responses, dtype=np.float64))
     if block.ndim != 2 or block.shape[0] < 1 or block.shape[1] != arm.size:
@@ -216,7 +220,10 @@ class RoundSchedule:
     switching_points: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        points = tuple(int(t) for t in self.switching_points)
+        try:
+            points = tuple(map(operator.index, self.switching_points))  # no float is truncated
+        except TypeError:
+            raise ValueError(f"switching points must be integers, got {self.switching_points}") from None
         if len(points) == 0:
             raise ValueError("schedule needs at least one switching point")
         if points[0] < 1 or any(b <= a for a, b in zip(points, points[1:])):
@@ -245,24 +252,30 @@ class RoundSchedule:
     def round_lengths(self) -> np.ndarray:
         return np.diff(np.concatenate([[0], self._points_arr]))
 
-    def round_rows(self, flat: np.ndarray):
-        """Each round's ``(T_r - T_{r-1}, r)`` view of ``flat``, a per-member array of ``budget`` values."""
-        if flat.shape != (self.budget,):
-            raise ValueError(f"a per-member array holds {self.budget} values, got shape {flat.shape}")
-        lo = 0
-        for r, count in enumerate(self.round_lengths().tolist(), start=1):
-            yield flat[lo : lo + count * r].reshape(count, r)
-            lo += count * r
+    @functools.cached_property
+    def rounds(self) -> np.ndarray:
+        """Each iteration's r, for iterations 1 .. horizon: read-only, built on first read and then shared."""
+        rounds = np.repeat(np.arange(1, self.b + 1, dtype=np.int64), self.round_lengths())
+        rounds.flags.writeable = False
+        return rounds
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each iteration's members start in a per-member array, then ``budget``: read-only, built once."""
+        offsets = np.zeros(self.horizon + 1, dtype=np.int64)
+        np.cumsum(self.rounds, out=offsets[1:])
+        offsets.flags.writeable = False
+        return offsets
 
     def blocks(self, width: int | None, *flats: np.ndarray):
-        """``round_rows`` of ``flats`` in blocks of ``block_rows(width or r)`` rows, each with its iterations' slice."""
-        lo = 0
-        for views in zip(*map(self.round_rows, flats)):
-            count, r = views[0].shape
+        """Each round in blocks of ``block_rows(width or r)`` rows: their iterations' slice and each flat's view."""
+        if any(flat.shape != (self.budget,) for flat in flats):
+            raise ValueError(f"a per-member array holds {self.budget} values, got shapes {[f.shape for f in flats]}")
+        for r, (start, end) in enumerate(zip((0, *self.switching_points), self.switching_points), start=1):
             step = block_rows(width or r)
-            for i in range(0, count, step):
-                yield (slice(lo + i, lo + min(i + step, count)), *(v[i : i + step] for v in views))
-            lo += count
+            for lo in range(start, end, step):
+                hi = min(lo + step, end)
+                yield (slice(lo, hi), *(f[self.offsets[lo] : self.offsets[hi]].reshape(hi - lo, r) for f in flats))
 
     @property
     def budget(self) -> int:

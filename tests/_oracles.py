@@ -293,9 +293,12 @@ def reference_run_single(config, policy, seed):
     superarm for the bandit and omniscient policies, a one-row
     ``response_vector`` block for k-sync. The bandit picks with
     ``select_superarm`` on the ``lcb_values`` vector; the bandit and omniscient
-    policies book with ``book_iteration``. Returns ``(trace, responses)``: a
-    trace with the same arrays as the package's run, and the per-member
-    responses it drew, kept as they were drawn, aligned with its members.
+    policies book with ``book_iteration``. Each iteration's round and member
+    offset are counted here from the switching points, not read from the
+    schedule. Returns ``(trace, derived)``: a trace with the same fields as the
+    package's run, and a dict of the arrays a package trace reads from its
+    schedule or replays from its seed: ``rounds``, ``member_offsets``,
+    ``employments``, and ``member_responses`` as they were drawn.
     """
     from banditsgd.analysis import RunTrace
     from banditsgd.harness import BANDIT_VARIANTS, SeedSetup, stream_rng
@@ -303,14 +306,20 @@ def reference_run_single(config, policy, seed):
     from banditsgd.policies import BanditState, select_superarm_optimal
 
     setup = SeedSetup.build(config, seed)
-    pool, schedule, rounds = setup.pool, setup.schedule, setup.rounds
+    pool, schedule = setup.pool, setup.schedule
     latency_rng = stream_rng(seed, "worker-latency")
     variant = BANDIT_VARIANTS.get(policy)
     is_ksync = policy == "adaptive-ksync"
     n, horizon = pool.n, schedule.horizon
 
+    rounds = np.zeros(horizon, dtype=np.int64)
     offsets = np.zeros(horizon + 1, dtype=np.int64)
-    np.cumsum(rounds, out=offsets[1:])
+    r = 1
+    for j in range(1, horizon + 1):
+        if j > schedule.switching_points[r - 1]:
+            r += 1
+        rounds[j - 1] = r
+        offsets[j] = offsets[j - 1] + r
     members = np.zeros(offsets[-1], dtype=np.int32)
     member_resp = np.zeros(offsets[-1], dtype=np.float64)
     times = np.zeros(horizon)
@@ -342,16 +351,13 @@ def reference_run_single(config, policy, seed):
         seed=int(seed),
         schedule=schedule,
         pool=pool,
-        rounds=rounds,
         response_times=times,
-        employments=employ,
         model_errors=setup.model_errors,
-        member_offsets=offsets,
         members=members,
         pulls=pulls,
         suboptimal_pulls=subopt,
     )
-    return trace, member_resp
+    return trace, {"rounds": rounds, "member_offsets": offsets, "employments": employ, "member_responses": member_resp}
 
 
 def reference_comparison(config) -> tuple[dict, dict]:

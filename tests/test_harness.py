@@ -320,26 +320,26 @@ def test_trace_structure_and_bookkeeping():
     for policy in cfg.policies:
         trace = run_single(cfg, policy, 0)
         assert len(trace) == sched.horizon
-        np.testing.assert_array_equal(trace.rounds, sched.rounds_of(np.arange(1, sched.horizon + 1)))
+        np.testing.assert_array_equal(trace.schedule.rounds, sched.rounds_of(np.arange(1, sched.horizon + 1)))
         np.testing.assert_allclose(trace.cum_times, np.cumsum(trace.response_times))
         np.testing.assert_array_equal(trace.cum_employments, np.cumsum(trace.employments))
         if policy == "adaptive-ksync":
             assert np.all(trace.employments == cfg.n)
             assert np.all(trace.pulls == sched.horizon)
         else:
-            np.testing.assert_array_equal(trace.employments, trace.rounds)
+            np.testing.assert_array_equal(trace.employments, trace.schedule.rounds)
             assert trace.pulls.sum() == sched.budget
         for j in (1, sched.horizon // 2, sched.horizon):
             arm = superarm_at(trace, j)
-            assert arm.size == trace.rounds[j - 1]  # k-sync stores the k used workers
+            assert arm.size == trace.schedule.rounds[j - 1]  # k-sync stores the k used workers
             assert np.all(np.diff(arm) > 0)
             assert responses_at(trace, j).size == arm.size
             if policy != "adaptive-ksync":
                 assert trace.response_times[j - 1] == pytest.approx(responses_at(trace, j).max())
 
 
-# the trace's array fields, and the per-member responses that it replays on access
-TRACE_ARRAYS = (*(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray"), "member_responses")
+# the trace's array fields: what its policy chose and observed
+TRACE_ARRAYS = tuple(f.name for f in dataclasses.fields(RunTrace) if f.type == "np.ndarray")
 
 
 def _block_seam_points(n):
@@ -383,14 +383,18 @@ BLOCK_SEAMS = dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01)
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync"])
 def test_run_single_matches_per_iteration_reference(shape, policy):
-    assert len(TRACE_ARRAYS) == 9
+    assert TRACE_ARRAYS == ("response_times", "model_errors", "members", "pulls", "suboptimal_pulls")
     cfg = ExperimentConfig(**{"distinct_means": True, **shape}, simulate_sgd=False)
     for seed in (0, 5):
-        trace, (reference, responses) = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
+        trace, (reference, derived) = run_single(cfg, policy, seed), reference_run_single(cfg, policy, seed)
         assert trace.pool.rates.tobytes() == reference.pool.rates.tobytes()
-        for name in TRACE_ARRAYS:
-            got = getattr(trace, name)
-            want = responses if name == "member_responses" else getattr(reference, name)
+        # the fields against the reference's, and what the trace reads from its schedule or replays
+        # from its seed against the reference's own per-iteration construction
+        pairs = [(getattr(trace, name), getattr(reference, name), name) for name in TRACE_ARRAYS]
+        pairs += [(trace.schedule.rounds if name == "rounds" else getattr(trace, name), want, name)
+                  for name, want in derived.items()]
+        assert len(pairs) == 9
+        for got, want, name in pairs:
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -402,7 +406,7 @@ def test_ksync_time_is_kth_smallest_of_full_vector():
     pool = build_pool(cfg, 3)
     for j in range(1, len(trace) + 1):
         draws = lat.exponential(pool.means)
-        r = trace.rounds[j - 1]
+        r = trace.schedule.rounds[j - 1]
         assert trace.response_times[j - 1] == pytest.approx(np.partition(draws, r - 1)[r - 1])
         np.testing.assert_array_equal(superarm_at(trace, j), np.sort(np.argsort(draws, kind="stable")[:r]))
 
@@ -434,13 +438,19 @@ def test_bandit_only_mode():
 def test_trace_shares_the_setups_read_only_arrays():
     cfg = small_config(simulate_sgd=False)
     setup = SeedSetup.build(cfg, 0)
+    schedule = setup.schedule
+    rounds, offsets = schedule.rounds, schedule.offsets
+    assert not rounds.flags.writeable and not offsets.flags.writeable
     for policy in cfg.policies:
         trace = run_single(cfg, policy, 0, setup)
+        # built once: every policy's trace reads the same two objects
+        assert trace.schedule.rounds is rounds and trace.schedule.offsets is offsets, policy
+        assert trace.member_offsets is offsets, policy
         assert not trace.employments.flags.writeable, policy
         assert not trace.model_errors.flags.writeable, policy
         if policy != "adaptive-ksync":
-            assert np.shares_memory(trace.employments, setup.rounds), policy
-    assert setup.model_errors.dtype == np.float64 and setup.model_errors.shape == setup.rounds.shape
+            assert np.shares_memory(trace.employments, rounds), policy
+    assert setup.model_errors.dtype == np.float64 and setup.model_errors.shape == rounds.shape
 
 
 def test_suboptimal_flags_sum_to_the_suboptimal_count():
@@ -604,9 +614,9 @@ def paper_scale_setup():
 
 @pytest.mark.parametrize("policy", ["optimal", "adaptive-ksync"])
 def test_feedback_free_rounds_hold_one_block_of_draws(paper_scale_setup, policy):
-    # beyond the trace it returns, a run holds a block of draws and record_outcome's
-    # stacked copies of it; drawing a (9000, n) round at once would hold 20
-    # (omniscient) and 80 (k-sync) blocks
+    # beyond the trace it returns, a run holds a block of draws and, for the
+    # omniscient policy, record_outcome's stacked copies of it; drawing a
+    # (9000, n) round at once would hold 20 (omniscient) and 80 (k-sync) blocks
     config, setup = paper_scale_setup
     assert setup.schedule.round_lengths()[-1] == 9000
     _, peak, held = traced_call(functools.partial(run_single, config, policy, 0, setup))
@@ -849,7 +859,7 @@ def test_fused_step_matches_unfused_replay():
     rng = stream_rng(4, "batch-sampling")
     w = problem.w0
     replay = []
-    for r in trace.rounds:
+    for r in trace.schedule.rounds:
         batches = sample_batches(problem, int(r), rng)
         w = apply_update(problem, w, [partial_gradient(problem, w, batch) for batch in batches], int(r))
         replay.append(model_error(problem, w))

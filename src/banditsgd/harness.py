@@ -251,7 +251,9 @@ class SeedSetup:
     ``model_errors``, the seed's learning trajectory, is computed on first
     use and handed, read-only, to every policy's trace: the SGD step reads
     only the batch stream and each iteration's ``r``, never the chosen
-    workers. A latency-only run's errors are a read-only NaN broadcast.
+    workers. Only the trajectory reads the dataset, so ``problem`` is set to
+    None once it is computed. A latency-only run's errors are a read-only
+    NaN broadcast.
     """
 
     seed: int
@@ -271,6 +273,7 @@ class SeedSetup:
             return np.broadcast_to(np.nan, self.schedule.horizon)
         errors = sgd.run_trajectory(self.problem, self.schedule.rounds, stream_rng(self.seed, "batch-sampling"))
         errors.flags.writeable = False
+        self.problem = None  # release the dataset; the errors are cached
         return errors
 
 
@@ -424,9 +427,10 @@ def error_at_employments(trace: RunTrace, budget: int) -> float:
 def run_comparison(config: ExperimentConfig):
     """Run every configured (policy, seed) pair and build the figure tables.
 
-    Each seed's ``SeedSetup`` (pool, problem, schedule, learning trajectory)
-    and round reference means, read from one gap report on a pinned pool, are
-    computed once and shared by every policy.
+    Each seed's ``SeedSetup`` (pool, schedule, learning trajectory) and round
+    reference means, read from one gap report on a pinned pool, are computed
+    once and shared by every policy. A seed's problem is held from its setup
+    until its trajectory is computed, in the first policy's run of the seed.
     Computed schedules must agree across seeds, and a bandit policy's regret
     analysis needs b <= ``SUBSET_ENUMERATION_CAP``; both are checked before any run.
 

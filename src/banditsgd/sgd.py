@@ -119,12 +119,20 @@ def sample_batches(problem: SgdProblem, count: int, rng: np.random.Generator) ->
     Each batch consumes ``m`` uniform variates (a random key per sample; the
     batch is the ``s`` smallest keys), so row ``t`` of the result is exactly
     what the ``t``-th of ``count`` sequential single-batch calls would return.
-    At ``b = 1`` (``s == m``) a row holds every sample once, in no set order.
+    Keys are drawn and partitioned ``block_rows(m)`` rows at a time, in row
+    order, which consumes the stream the same way; only the ``(count, s)``
+    result outlives a block. At ``b = 1`` (``s == m``) a row holds every
+    sample once, in no set order.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    keys = rng.random((count, problem.m))
-    return np.argpartition(keys, problem.s - 1, axis=1)[:, : problem.s]
+    m, s = problem.m, problem.s
+    batches = np.empty((count, s), dtype=np.intp)
+    step = block_rows(m)
+    for lo in range(0, count, step):
+        keys = rng.random((min(step, count - lo), m))
+        batches[lo : lo + step] = np.argpartition(keys, s - 1, axis=1)[:, :s]
+    return batches
 
 
 def batch_gradient(problem: SgdProblem, w: np.ndarray, batches: np.ndarray) -> np.ndarray:
@@ -160,8 +168,8 @@ def run_trajectory(problem: SgdProblem, rounds: np.ndarray, rng: np.random.Gener
     step_base = problem.eta / problem.s
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below names a divergence
         for j, r in enumerate(rounds.tolist(), start=1):
-            # no name holds the batches, so their (r, m) argpartition base is freed
-            # before the next iteration draws its keys
+            # sample_batches draws the keys a block of rows at a time, so the step
+            # holds one block of keys and the (r, s) batches, never an (r, m) array
             w = w - (step_base / r) * batch_gradient(problem, w, sample_batches(problem, r, rng))
             err = model_error(problem, w)
             if not math.isfinite(err):

@@ -5,8 +5,8 @@ subset sums via itertools instead of binary counting, gradients via central
 finite differences or per-batch row gathers, LCBs one worker at a time or
 as one vector per iteration, gaps via explicit enumeration, runs one
 iteration and one draw call at a time, moments from whole 2^k arrays, numpy's
-summation rule in Python floats, tail draws as one block, tables one cell at
-a time, comparisons from every run's trace held at once.
+summation rule in Python floats, tail draws and batch keys as one block,
+tables one cell at a time, comparisons from every run's trace held at once.
 Keep these free of any dependence on the implementation paths they check.
 """
 
@@ -158,6 +158,12 @@ def apply_update(problem, w, gradients, responsive_count) -> np.ndarray:
 def model_error(problem, w) -> float:
     """Euclidean distance between w and the least-squares solution, via the norm."""
     return float(np.linalg.norm(w - problem.least_squares_target))
+
+
+def one_block_batches(problem, count, rng) -> np.ndarray:
+    """``count`` batches from one ``(count, m)`` key draw and one argpartition."""
+    keys = rng.random((count, problem.m))
+    return np.argpartition(keys, problem.s - 1, axis=1)[:, : problem.s]
 
 
 # ---------------------------------------------------------------- scheduling layer

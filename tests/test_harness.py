@@ -39,6 +39,7 @@ from _memory import traced_call
 from _oracles import (
     apply_update,
     model_error,
+    one_block_batches,
     partial_gradient,
     reference_comparison,
     reference_run_single,
@@ -842,6 +843,20 @@ def test_enumeration_cap_is_checked_before_any_run(monkeypatch):
 def test_run_comparison_needs_two_policies():
     with pytest.raises(ValueError):
         run_comparison(small_config(policies=("optimal",)))
+
+
+def test_setup_releases_its_dataset_once_the_trajectory_is_computed(monkeypatch):
+    # r reaches 3, past block_rows(8001) = 2, so the trajectory's batches cross block seams
+    cfg = small_config(m=8000, seeds=(0,))
+    setup = SeedSetup.build(cfg, 0)
+    problem = weakref.ref(setup.problem)
+    errors = setup.model_errors
+    assert problem() is None and setup.problem is None
+    assert setup.model_errors is errors
+    # the trajectory as computed on a held dataset, every iteration's keys drawn at once
+    monkeypatch.setattr(sgd, "sample_batches", one_block_batches)
+    expected = sgd.run_trajectory(build_problem(cfg, 0), setup.schedule.rounds, stream_rng(0, "batch-sampling"))
+    assert errors.dtype == expected.dtype and errors.tobytes() == expected.tobytes()
 
 
 def test_problem_generation_uses_data_seed():

@@ -105,11 +105,14 @@ def test_batches_independent_across_workers():
 
 
 def test_batches_match_sequential_single_calls():
-    p = make_problem(m=40, d=5, b=4)
-    block = sample_batches(p, 3, np.random.default_rng(9))
-    rng = np.random.default_rng(9)
-    singles = [sample_batches(p, 1, rng)[0] for _ in range(3)]
-    np.testing.assert_array_equal(block, np.stack(singles))
+    # at m = 2000 a block holds block_rows(2000) = 8 rows, so 20 batches cross two block seams
+    for m, b, count in ((40, 4, 3), (2000, 20, 20)):
+        p = make_problem(m=m, d=5, b=b)
+        block = sample_batches(p, count, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        singles = [sample_batches(p, 1, rng)[0] for _ in range(count)]
+        np.testing.assert_array_equal(block, np.stack(singles))
+        np.testing.assert_array_equal(block, _oracles.one_block_batches(p, count, np.random.default_rng(9)))
 
 
 def test_partial_gradient_hand_case():
@@ -235,3 +238,12 @@ def test_estimate_bound_params_memory_follows_the_block():
     p = make_problem(m=2000, d=100, b=20, eta=1e-4, seed=2)
     _, peak, _ = traced_call(lambda: estimate_bound_params(p))
     assert peak <= 3 * BLOCK_VALUES * 8, f"estimate_bound_params traced {peak / 2**20:.2f} MiB"
+
+
+def test_sample_batches_memory_follows_the_block():
+    # keys drawn and partitioned a block of rows at a time: two (20, 2000)
+    # arrays, the keys and their argpartition, would be 0.64 MB (5 blocks)
+    p = make_problem(m=2000, d=5, b=20)
+    rng = np.random.default_rng(4)
+    _, peak, _ = traced_call(lambda: sample_batches(p, 20, rng))
+    assert peak <= 3 * BLOCK_VALUES * 8, f"sample_batches traced {peak / 2**20:.2f} MiB"

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import WorkerPool, expected_max, max_moments, response_vector
-from .policies import RoundSchedule, select_superarm_optimal, suboptimal_rows
+from .latency import WorkerPool, expected_max, max_moments
+from .policies import RoundSchedule, select_superarm_optimal
 
 logger = logging.getLogger(__name__)
 
@@ -73,82 +72,6 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     )
 
 
-@dataclass
-class RunTrace:
-    """Per-iteration record of one seeded run: what its policy chose.
-
-    Iteration j (1-based) lives at array index j-1. ``members`` holds the
-    chosen superarm of every iteration back to back (the k used workers for
-    the k-sync baseline), delimited by ``member_offsets``; ``response_times``
-    is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
-    """
-
-    policy: str
-    seed: int
-    schedule: RoundSchedule
-    pool: WorkerPool
-    response_times: np.ndarray
-    model_errors: np.ndarray
-    members: np.ndarray
-    pulls: np.ndarray
-    suboptimal_pulls: np.ndarray
-
-    def __len__(self) -> int:
-        return self.schedule.horizon
-
-    @property
-    def member_offsets(self) -> np.ndarray:
-        return self.schedule.offsets
-
-    @property
-    def employments(self) -> np.ndarray:
-        """Workers booked per iteration, read-only: ``schedule.rounds``, or all n for k-sync."""
-        ksync = self.policy == "adaptive-ksync"
-        return np.broadcast_to(np.int64(self.pool.n), len(self)) if ksync else self.schedule.rounds
-
-    @property
-    def member_responses(self) -> np.ndarray:
-        """Each member's response time, aligned with ``members``: not stored, but redrawn read-only from
-        the seed's latency stream along ``run_single``'s blocks, so each read costs one run's draws."""
-        from .harness import stream_rng  # local import: harness builds on this module
-
-        rng, ksync, pool = stream_rng(self.seed, "worker-latency"), self.policy == "adaptive-ksync", self.pool
-        out = np.empty(self.members.size)
-        for _, arms, resp in self.schedule.blocks(pool.n if ksync else None, self.members, out):
-            draws = response_vector(pool, rng, len(arms)) if ksync else rng.standard_exponential(arms.shape)
-            resp[:] = np.take_along_axis(draws, arms, axis=1) if ksync else draws * pool.means[arms]
-        out.flags.writeable = False
-        return out
-
-    @functools.cached_property
-    def cum_times(self) -> np.ndarray:
-        return np.cumsum(self.response_times)
-
-    @functools.cached_property
-    def cum_employments(self) -> np.ndarray:
-        return np.cumsum(self.employments)
-
-    @functools.cached_property
-    def suboptimal_count(self) -> int:
-        return int(self.suboptimal_pulls.sum())
-
-    @functools.cached_property
-    def suboptimal_flags(self) -> np.ndarray:
-        """Per iteration, whether the played superarm was suboptimal (``policies.suboptimal_rows``, a block at a time).
-
-        Their sum is ``suboptimal_count`` for the bandit and omniscient
-        policies. A k-sync run differs by design: it books all n workers and
-        charges no pull, while its flags judge the r workers it used.
-        """
-        blocks = self.schedule.blocks(None, self.members)
-        return np.concatenate([suboptimal_rows(self.pool, rows) for _, rows in blocks])
-
-    def final_round_counts(self) -> np.ndarray:
-        """Per-worker employment counts within the last round of the schedule."""
-        before = self.schedule.horizon - self.schedule.round_lengths()[-1]  # the iterations before the last round
-        return np.bincount(self.members[self.schedule.offsets[before] :], minlength=self.pool.n)
-
-
 def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:
     """Expected completion time of the optimal superarm for each round."""
     return np.array(
@@ -157,15 +80,13 @@ def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarr
 
 
 def empirical_regret(
-    trace: RunTrace,
-    pool: WorkerPool,
-    schedule: RoundSchedule,
-    reference_means: np.ndarray | None = None,
+    trace, pool: WorkerPool, schedule: RoundSchedule, reference_means: np.ndarray | None = None
 ) -> np.ndarray:
     """Realized cumulative time minus the optimal policy's expected time, per iteration.
 
-    Single-run curves fluctuate (and may dip below zero); averaging across
-    seeds estimates the expected regret.
+    ``trace`` is a run's trace, read for its ``schedule``, ``pool`` and
+    ``cum_times``. Single-run curves fluctuate (and may dip below zero);
+    averaging across seeds estimates the expected regret.
     """
     if trace.schedule.switching_points != schedule.switching_points:
         raise ValueError("trace was produced under a different schedule")

@@ -184,7 +184,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_ver = add_parser("verify", help="Monte Carlo oracle suite")
     add_common(p_ver)
-    p_ver.add_argument("--lists", type=int, default=50, help="random rate lists per closed-form check")
+    lists_help = "random rate lists of the mean check; the variance check runs max(lists // 2, 5)"
+    p_ver.add_argument("--lists", type=int, default=50, help=lists_help)
     p_ver.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo samples per list")
     p_ver.add_argument("--trials", type=int, default=100_000, help="trials per tail-bound cell")
     p_ver.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: config, seeded streams, runs, and comparison tables.
+"""Experiment orchestration: config, seeded streams, runs, the run record and its replay, comparison tables.
 
 Every run derives all randomness from its seed through named, independent
 generator streams (data-generation, mean-assignment, worker-latency,
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, policies, sgd
-from .analysis import RunTrace
 from .latency import BLOCK_VALUES, SUBSET_ENUMERATION_CAP, WorkerPool, block_rows, member_responses, response_vector
 from .policies import (
     RADIUS_VARIANTS,
@@ -32,6 +31,7 @@ from .policies import (
     record_outcome,
     select_superarm_cmab,
     select_superarm_optimal,
+    suboptimal_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -252,8 +252,8 @@ class SeedSetup:
     use and handed, read-only, to every policy's trace: the SGD step reads
     only the batch stream and each iteration's ``r``, never the chosen
     workers. Only the trajectory reads the dataset, so ``problem`` is set to
-    None once it is computed. A latency-only run's errors are a read-only
-    NaN broadcast.
+    None once it is computed. A latency-only setup is known when it is
+    built: ``build`` stores its errors, a read-only NaN broadcast.
     """
 
     seed: int
@@ -264,17 +264,95 @@ class SeedSetup:
     @classmethod
     def build(cls, config: ExperimentConfig, seed: int) -> "SeedSetup":
         problem = build_problem(config, seed) if config.simulate_sgd else None
-        return cls(int(seed), build_pool(config, seed), problem, resolve_schedule(config, problem))
+        setup = cls(int(seed), build_pool(config, seed), problem, resolve_schedule(config, problem))
+        if problem is None:
+            setup.model_errors = np.broadcast_to(np.nan, setup.schedule.horizon)
+        return setup
 
     @functools.cached_property
     def model_errors(self) -> np.ndarray:
-        """Model error per iteration (NaN when the run is latency-only)."""
+        """Model error per iteration, computed from the dataset on first read, which releases it."""
         if self.problem is None:
-            return np.broadcast_to(np.nan, self.schedule.horizon)
+            raise ValueError(f"seed {self.seed} holds no dataset: its trajectory cannot be computed again")
         errors = sgd.run_trajectory(self.problem, self.schedule.rounds, stream_rng(self.seed, "batch-sampling"))
         errors.flags.writeable = False
         self.problem = None  # release the dataset; the errors are cached
         return errors
+
+
+@dataclass
+class RunTrace:
+    """Per-iteration record of one seeded run: what its policy chose.
+
+    Iteration j (1-based) lives at array index j-1. ``members`` holds the
+    chosen superarm of every iteration back to back (the k used workers for
+    the k-sync baseline), delimited by ``member_offsets``; ``response_times``
+    is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
+    ``member_responses`` replays the draws of ``run_single``, beside it in this module.
+    """
+
+    policy: str
+    seed: int
+    schedule: RoundSchedule
+    pool: WorkerPool
+    response_times: np.ndarray
+    model_errors: np.ndarray
+    members: np.ndarray
+    pulls: np.ndarray
+    suboptimal_pulls: np.ndarray
+
+    def __len__(self) -> int:
+        return self.schedule.horizon
+
+    @property
+    def member_offsets(self) -> np.ndarray:
+        return self.schedule.offsets
+
+    @property
+    def employments(self) -> np.ndarray:
+        """Workers booked per iteration, read-only: ``schedule.rounds``, or all n for k-sync."""
+        ksync = self.policy == "adaptive-ksync"
+        return np.broadcast_to(np.int64(self.pool.n), len(self)) if ksync else self.schedule.rounds
+
+    @property
+    def member_responses(self) -> np.ndarray:
+        """Each member's response time, aligned with ``members``: not stored, but redrawn read-only from
+        the seed's latency stream along ``run_single``'s blocks, so each read costs one run's draws."""
+        rng, ksync, pool = stream_rng(self.seed, "worker-latency"), self.policy == "adaptive-ksync", self.pool
+        out = np.empty(self.members.size)
+        for _, arms, resp in self.schedule.blocks(pool.n if ksync else None, self.members, out):
+            draws = response_vector(pool, rng, len(arms)) if ksync else rng.standard_exponential(arms.shape)
+            resp[:] = np.take_along_axis(draws, arms, axis=1) if ksync else draws * pool.means[arms]
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def cum_times(self) -> np.ndarray:
+        return np.cumsum(self.response_times)
+
+    @functools.cached_property
+    def cum_employments(self) -> np.ndarray:
+        return np.cumsum(self.employments)
+
+    @functools.cached_property
+    def suboptimal_count(self) -> int:
+        return int(self.suboptimal_pulls.sum())
+
+    @functools.cached_property
+    def suboptimal_flags(self) -> np.ndarray:
+        """Per iteration, whether the played superarm was suboptimal (``policies.suboptimal_rows``, a block at a time).
+
+        Their sum is ``suboptimal_count`` for the bandit and omniscient
+        policies. A k-sync run differs by design: it books all n workers and
+        charges no pull, while its flags judge the r workers it used.
+        """
+        blocks = self.schedule.blocks(None, self.members)
+        return np.concatenate([suboptimal_rows(self.pool, rows) for _, rows in blocks])
+
+    def final_round_counts(self) -> np.ndarray:
+        """Per-worker employment counts within the last round of the schedule."""
+        before = self.schedule.horizon - self.schedule.round_lengths()[-1]  # the iterations before the last round
+        return np.bincount(self.members[self.schedule.offsets[before] :], minlength=self.pool.n)
 
 
 def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetup | None = None) -> RunTrace:
@@ -295,8 +373,8 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     bandit draws into one reused buffer and hands it and the block's rows of
     the trace's members to ``select_superarm_cmab``, which fills both in
     place. Each block's row maxima go into ``response_times``; the per-member
-    responses are not kept (``RunTrace.member_responses``). The trace shares
-    the setup's schedule and read-only ``model_errors``.
+    responses are not kept, and ``RunTrace.member_responses``, above, replays
+    them. The trace shares the setup's schedule and read-only ``model_errors``.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")

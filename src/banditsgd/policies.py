@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .latency import WorkerPool, block_rows
+from .sgd import convergence_bound
 
 SUBOPTIMALITY_TOL = 1e-12
 
@@ -292,8 +293,6 @@ def compute_schedule(bound_params, b: int) -> RoundSchedule:
     sum of these durations. A schedule that runs past ``J_CAP`` iterations
     is rejected, naming its horizon and the first round that ends past the cap.
     """
-    from .sgd import convergence_bound  # local import; sgd has no policy deps
-
     if b < 1:
         raise ValueError("need b >= 1")
     if bound_params.decay <= 0:

@@ -306,8 +306,7 @@ def reference_run_single(config, policy, seed):
     schedule or replays from its seed: ``rounds``, ``member_offsets``,
     ``employments``, and ``member_responses`` as they were drawn.
     """
-    from banditsgd.analysis import RunTrace
-    from banditsgd.harness import BANDIT_VARIANTS, SeedSetup, stream_rng
+    from banditsgd.harness import BANDIT_VARIANTS, RunTrace, SeedSetup, stream_rng
     from banditsgd.latency import member_responses, response_vector
     from banditsgd.policies import BanditState, select_superarm_optimal
 

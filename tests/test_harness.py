@@ -1,5 +1,6 @@
 """Orchestration: configs, streams, traces, CSV schema, and comparisons."""
 
+import ast
 import csv
 import dataclasses
 import functools
@@ -15,10 +16,10 @@ import numpy as np
 import pytest
 
 from banditsgd import analysis, harness, sgd
-from banditsgd.analysis import RunTrace
 from banditsgd.harness import (
     TRACE_HEADER,
     ExperimentConfig,
+    RunTrace,
     SeedSetup,
     build_pool,
     build_problem,
@@ -706,6 +707,30 @@ def test_hot_paths_leave_no_package_cycles(tmp_path):
         assert not left, f"{name} left package objects to the cyclic collector: {left}"
 
 
+# the package's modules, lowest first; a module imports only from the levels below its own
+IMPORT_ORDER = (("latency",), ("sgd",), ("policies",), ("analysis",), ("verify", "harness"), ("cli",))
+
+
+def test_package_imports_run_down_one_order():
+    # every relative import sits at module level and names a module strictly
+    # below its own, so a rule shared by two modules cannot be split between them
+    rank = {name: level for level, names in enumerate(IMPORT_ORDER) for name in names}
+    found = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(CONFIG_DIR), "src", "banditsgd", "*.py"))):
+        module = os.path.basename(path)[: -len(".py")]
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                continue
+            if node not in tree.body:
+                found.append(f"{module}:{node.lineno} imports inside a function")
+            for target in [node.module] if node.module else [alias.name for alias in node.names]:
+                if rank.get(target, math.inf) >= rank.get(module, -1):
+                    found.append(f"{module}:{node.lineno} imports {target}, which is not below it")
+    assert not found, found
+
+
 def test_pinned_comparison_takes_reference_means_from_one_gap_report(monkeypatch):
     cfg = small_config(pool_seed=5, seeds=(0, 1, 2), policies=("cmab-plain", "cmab-scaled", "optimal"))
     pool = build_pool(cfg, 0)
@@ -857,6 +882,20 @@ def test_setup_releases_its_dataset_once_the_trajectory_is_computed(monkeypatch)
     monkeypatch.setattr(sgd, "sample_batches", one_block_batches)
     expected = sgd.run_trajectory(build_problem(cfg, 0), setup.schedule.rounds, stream_rng(0, "batch-sampling"))
     assert errors.dtype == expected.dtype and errors.tobytes() == expected.tobytes()
+
+
+def test_released_dataset_is_not_read_as_latency_only():
+    # a dropped trajectory cannot be recomputed once the dataset is released; it must not read as NaN
+    setup = SeedSetup.build(small_config(seeds=(0,)), 0)
+    assert np.isfinite(setup.model_errors).all()
+    del setup.model_errors
+    with pytest.raises(ValueError, match="seed 0 holds no dataset"):
+        setup.model_errors
+    # a latency-only setup holds its read-only NaN errors from the moment it is built
+    latency_only = SeedSetup.build(small_config(simulate_sgd=False, seeds=(0,)), 0)
+    errors = vars(latency_only)["model_errors"]
+    assert errors.shape == (latency_only.schedule.horizon,) and np.isnan(errors).all()
+    assert not errors.flags.writeable and latency_only.model_errors is errors
 
 
 def test_problem_generation_uses_data_seed():

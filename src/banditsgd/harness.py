@@ -66,8 +66,11 @@ class ExperimentConfig:
     bound by ``policies.compute_schedule``, failing past ``policies.J_CAP``) or
     a comma-separated list of ``b`` strictly increasing iteration indices.
     Worker means are drawn from the grid ``mean_min..mean_max`` in steps of
-    ``mean_step`` (a whole number of steps), with replacement unless
-    ``distinct_means`` is set. Policies and seeds are listed once each.
+    ``mean_step`` (a whole number of steps, at most 2**63 - 1 values, each
+    rounded to 12 decimals), with replacement unless ``distinct_means`` is set;
+    the grid is never built, so its size costs no memory. Both rounded ends
+    must be finite and > 0, and so must the reciprocal of each ``worker_means``
+    entry. Policies and seeds are listed once each.
     """
 
     n: int = 50
@@ -112,8 +115,15 @@ class ExperimentConfig:
         if not 0 < self.mean_step < math.inf:
             raise ValueError(f"mean_step must be finite and > 0, got {self.mean_step}")
         steps = (self.mean_max - self.mean_min) / self.mean_step
+        if not steps < 2.0**63:  # a pool draws grid indices as int64, so round(steps) + 1 must fit
+            raise ValueError(f"mean_step={self.mean_step} makes more than 2**63 - 1 grid values")
         if not math.isclose(steps, round(steps), rel_tol=1e-9):
             raise ValueError(f"mean_step={self.mean_step} must divide mean_max - mean_min into whole steps")
+        low, high = _grid_means(self, [0, _grid_count(self) - 1])
+        if not low > 0:
+            raise ValueError(f"mean_min={self.mean_min} rounds to {low} at 12 decimals; need > 0")
+        if not math.isfinite(high):
+            raise ValueError(f"mean_max={self.mean_max} rounds to {high} at 12 decimals; need a finite value")
         if self.m < 1 or self.d < 1:
             raise ValueError(f"need m >= 1 and d >= 1, got m={self.m}, d={self.d}")
         if not 0 < self.eta < math.inf:
@@ -123,10 +133,13 @@ class ExperimentConfig:
                 raise ValueError(f"worker_means fixes the pool; pool_seed={self.pool_seed} would be ignored")
             if len(self.worker_means) != self.n:
                 raise ValueError(f"worker_means lists {len(self.worker_means)} values but n={self.n}")
-            if not all(math.isfinite(v) and v > 0 for v in self.worker_means):
-                raise ValueError(f"worker_means must all be finite and > 0, got {self.worker_means}")
-        elif self.distinct_means:
-            self.mean_grid()  # fails unless the grid has at least n values
+            if not all(0 < v < math.inf and 1.0 / v < math.inf for v in self.worker_means):
+                means = self.worker_means
+                raise ValueError(f"worker_means must all be finite and > 0 with finite 1 / mean, got {means}")
+        elif self.distinct_means and _grid_count(self) < self.n:
+            raise ValueError(
+                f"distinct means need a grid of at least n={self.n} values; got {_grid_count(self)} (shrink mean_step)"
+            )
         points = self.switching_points()  # parse eagerly so bad values fail here
         if points is None and not self.simulate_sgd:
             raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
@@ -152,16 +165,6 @@ class ExperimentConfig:
         if len(points) != self.b:
             raise ValueError(f"schedule lists {len(points)} switching points but b={self.b}")
         return points
-
-    def mean_grid(self) -> np.ndarray:
-        count = int(round((self.mean_max - self.mean_min) / self.mean_step)) + 1
-        grid = np.round(np.linspace(self.mean_min, self.mean_max, count), 12)
-        if self.distinct_means and grid.size < self.n:
-            raise ValueError(
-                f"distinct means need a grid of at least n={self.n} values; "
-                f"got {grid.size} (shrink mean_step)"
-            )
-        return grid
 
     def as_dict(self) -> dict:
         """Field values with tuples as lists, as serialized to JSON."""
@@ -220,13 +223,32 @@ def _coerce(value, hint):
     return hint(text)
 
 
+def _grid_count(config: ExperimentConfig) -> int:
+    """Values on the mean grid, both ends included."""
+    return round((config.mean_max - config.mean_min) / config.mean_step) + 1
+
+
+def _grid_means(config: ExperimentConfig, indices) -> np.ndarray:
+    """The mean grid's values at ``indices``, bit for bit as ``np.round(np.linspace(mean_min, mean_max,
+    count), 12)`` holds them, without building the grid: index i is ``i * step + mean_min`` with linspace's
+    ``step = (mean_max - mean_min) / (count - 1)``, the last index is ``mean_max`` (a one-value grid holds
+    only ``mean_min``), and numpy rounds, which overflows to inf where Python's ``round`` would not."""
+    count, low, high = _grid_count(config), config.mean_min, config.mean_max
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.where((indices == count - 1) & (count > 1), high, indices * ((high - low) / max(count - 1, 1)) + low)
+    with np.errstate(over="ignore"):  # an end that rounds to inf fails validation by name
+        return np.round(values, 12)
+
+
 def build_pool(config: ExperimentConfig, seed: int) -> WorkerPool:
-    """Worker pool for one run: fixed outright by an explicit worker_means list,
-    else means drawn from the config's grid, pinned across runs when pool_seed is set."""
+    """Worker pool for one run: fixed outright by an explicit worker_means list, else ``n`` means drawn
+    from the config's grid by index, pinned across runs when pool_seed is set. Only the drawn values are
+    computed, so memory follows ``n``, not the grid's size."""
     if config.worker_means is not None:
         return WorkerPool(1.0 / np.asarray(config.worker_means, dtype=np.float64))
     rng = stream_rng(config.pool_seed if config.pool_seed is not None else seed, "mean-assignment")
-    return WorkerPool(1.0 / rng.choice(config.mean_grid(), size=config.n, replace=not config.distinct_means))
+    indices = rng.choice(_grid_count(config), size=config.n, replace=not config.distinct_means)
+    return WorkerPool(1.0 / _grid_means(config, indices))
 
 
 def build_problem(config: ExperimentConfig, seed: int) -> sgd.SgdProblem:
@@ -448,7 +470,7 @@ def write_trace_csv(trace: RunTrace, path: str) -> None:
         np.arange(1, horizon + 1),
         trace.schedule.rounds,
         np.broadcast_to(np.str_(trace.policy), horizon),
-        np.broadcast_to(np.int64(trace.seed), horizon),
+        np.broadcast_to(np.str_(trace.seed), horizon),  # a seed past int64 is still its digits
         _SuperarmCells(trace.members, trace.member_offsets),
         trace.response_times,
         trace.cum_times,

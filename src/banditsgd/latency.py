@@ -49,9 +49,11 @@ class WorkerPool:
     """Pool of workers with independent exponential response times.
 
     ``rates[i]`` is the rate of worker ``i`` (so ``means[i] = 1/rates[i]`` is
-    its expected response time). Workers are indexed from 0. ``speed_order``
-    ranks them fastest first (lower index on ties) and ``sorted_means`` is
-    ``means[speed_order]``; all four arrays are computed once, read-only.
+    its expected response time); every rate and every mean must be finite
+    and > 0, so a rate whose reciprocal overflows is rejected. Workers are
+    indexed from 0. ``speed_order`` ranks them fastest first (lower index on
+    ties) and ``sorted_means`` is ``means[speed_order]``; all four arrays are
+    computed once, read-only.
     """
 
     rates: np.ndarray
@@ -65,7 +67,10 @@ class WorkerPool:
             raise ValueError("worker pool needs a non-empty 1-D rate list")
         if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
             raise ValueError("every worker rate must be finite and > 0")
-        means = 1.0 / rates
+        with np.errstate(over="ignore"):
+            means = 1.0 / rates
+        if not np.all(np.isfinite(means)):
+            raise ValueError(f"every worker mean 1 / rate must be finite, got rates {rates.tolist()}")
         order = np.argsort(means, kind="stable")
         for name, arr in (("rates", rates), ("means", means), ("speed_order", order), ("sorted_means", means[order])):
             arr.setflags(write=False)
@@ -133,6 +138,11 @@ def _validated_rates(rates) -> np.ndarray:
             f"{SUBSET_ENUMERATION_CAP} (2^{SUBSET_ENUMERATION_CAP} terms). Split the "
             "computation or use a Monte Carlo estimate instead."
         )
+    # Every subset total lies between the smallest rate and the list's total, so each term is at most
+    # 1 / smallest^2, and twice (2^k / smallest)^2 bounds every partial sum and the mean's square.
+    total, bound = sum(arr.tolist()), (1 << arr.size) / float(arr.min())
+    if not (total * total < np.inf and 2.0 * bound * bound < np.inf):
+        raise ValueError(f"rates {arr.tolist()} are too large or too small for exact moments in float64")
     return arr
 
 
@@ -220,7 +230,9 @@ def max_moments(rates) -> tuple[float, float]:
     The enumeration is exact and bit-identical to ``np.add.reduce`` over the
     one array of the 2^k - 1 non-empty subsets' terms; its memory is bounded
     by the block size (2^14 subsets), not by 2^k, and is freed when the call
-    returns.
+    returns. A list whose terms could overflow or vanish in float64 (the
+    total's square, or twice (2^k / smallest rate)^2, not finite) raises a
+    ValueError naming the rates before any enumeration.
     """
     mean, second = _inclusion_exclusion_sum(_validated_rates(rates))
     return mean, max(2.0 * second - mean * mean, 0.0)

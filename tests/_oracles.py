@@ -6,7 +6,8 @@ finite differences or per-batch row gathers, LCBs one worker at a time or
 as one vector per iteration, gaps via explicit enumeration, runs one
 iteration and one draw call at a time, moments from whole 2^k arrays, numpy's
 summation rule in Python floats, tail draws and batch keys as one block,
-tables one cell at a time, comparisons from every run's trace held at once.
+tables one cell at a time, comparisons from every run's trace held at once,
+worker means drawn from the whole mean grid.
 Keep these free of any dependence on the implementation paths they check.
 """
 
@@ -289,6 +290,13 @@ def order_statistic_check(samples, rng) -> tuple[bool, str]:
         ok = ok and abs(draws.mean() - exact) <= 3 * se
         details.append(f"{label} mean {draws.mean():.5f} vs {exact:.5f}")
     return bool(ok), "; ".join(details)
+
+
+def grid_draw_means(config, rng) -> np.ndarray:
+    """``n`` worker means drawn from the whole mean grid, built as ``np.linspace`` rounded to 12 decimals."""
+    count = int(round((config.mean_max - config.mean_min) / config.mean_step)) + 1
+    grid = np.round(np.linspace(config.mean_min, config.mean_max, count), 12)
+    return rng.choice(grid, size=config.n, replace=not config.distinct_means)
 
 
 def reference_run_single(config, policy, seed):

@@ -1,13 +1,19 @@
 """Command-line interface: subcommands, flag overrides, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
+import re
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from banditsgd import analysis, harness, policies, verify
 from banditsgd.cli import _parser, main
@@ -339,6 +345,29 @@ def test_bounds_reject_empty_lists_and_past_horizon_before_output(tmp_path, caps
     assert captured.err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--rates", "1e-320,1"], "error: every worker mean 1 / rate must be finite, got rates [1e-320, 1.0]"),
+        (["--rates", "1e200,1e200"], "error: rates [1e+200] are too large or too small for exact moments in float64"),
+        (["--rates", "1e308,1e308"], "error: rates [1e+308] are too large or too small for exact moments in float64"),
+        (["--rates", "1e-200,1e-200"], "error: rates [1e-200] are too large or too small for exact moments in float64"),
+        ([], "error: rates [1e-200] are too large or too small for exact moments in float64"),
+    ],
+    ids=["mean-overflows", "total-squared-overflows", "total-overflows", "inverse-square-overflows", "config-pool"],
+)
+def test_bounds_rejects_rates_outside_float_range(tmp_path, capsys, extra, message):
+    # each once warned, then wrote Infinity or NaN with exit 0 or failed with a ZeroDivisionError
+    text = "n = 2\nb = 1\nschedule = 5\nsimulate_sgd = false\nmean_min = 1e200\nmean_max = 1e200\nmean_step = 1\n"
+    out = tmp_path / "bounds.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bounds", "--config", _mini_cfg(tmp_path, text), "--out", str(out), *extra]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert not out.exists()
+
+
 def test_log_level_surfaces_library_warnings(tmp_path, capsys):
     # a one-iteration round at eps=0.5 makes the Chebyshev factor negative
     argv = ["bounds", "--rates", "1", "--config", _mini_cfg(tmp_path, "n = 1\nb = 1\nschedule = 1\n"), "--eps", "0.5"]
@@ -500,3 +529,74 @@ def test_diverging_compare_writes_one_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: model error is inf at iteration 104; eta=0.01 is too large to converge\n"
     assert captured.out == ""
+
+
+# Small valid values for every key. Half the drawn values are junk instead; extreme magnitudes go only to
+# float keys and to seeds, whose size allocates nothing.
+SWEEP_VALID = {
+    "n": ("2", "4", "8"),
+    "b": ("1", "2", "3"),
+    "m": ("8", "40"),
+    "d": ("1", "4"),
+    "schedule": ("5", "5,10", "10,20,50"),
+    "eta": ("1e-3", "1e-2"),
+    "seeds": ("0", "0,1", "0, 3"),
+    "pool_seed": ("none", "2"),
+    "data_seed": ("none", "2"),
+    "policies": ("optimal", "cmab-plain, adaptive-ksync", "cmab-scaled"),
+    "mean_min": ("0.1", "0.5"),
+    "mean_max": ("0.9", "2"),
+    "mean_step": ("0.1", "0.05"),
+    "distinct_means": ("true", "false"),
+    "worker_means": ("none", "0.5, 0.7", "0.2, 0.4, 0.6, 0.8", "1e-320, 0.5", "0.5, 1e297"),
+    "simulate_sgd": ("true", "false"),
+    "write_traces": ("true", "false"),
+}
+JUNK = ("nan", "-1", "1,,2", "abc", "", "1e-320", "5e-13")
+MAGNITUDE_KEYS = ("eta", "seeds", "pool_seed", "data_seed", "mean_min", "mean_max", "mean_step", "worker_means")
+SWEEP_BASE = {"n": "4", "b": "2", "m": "20", "d": "3", "seeds": "0", "schedule": "5,10"}
+
+
+def _sweep_value(key):
+    junk = (*JUNK, "1e297", str(2**63)) if key in MAGNITUDE_KEYS else JUNK
+    return st.one_of(st.sampled_from(SWEEP_VALID[key]), st.sampled_from(junk))
+
+
+config_overrides = st.lists(st.sampled_from(sorted(SWEEP_VALID)), min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: _sweep_value(k) for k in keys})
+)
+UNEXPECTED_FAULT = re.compile(r"error: \w+(Error|Exception|Warning): ")
+
+
+@given(config_overrides, st.sampled_from(harness.POLICY_NAMES), st.sampled_from(("0", "3", str(2**63))))
+@example({"mean_min": "5e-13", "mean_max": "5e-13"}, "optimal", "0")  # rounds to a zero mean
+@example({"mean_max": "1e297", "mean_step": "1e297"}, "optimal", "0")  # rounds to an infinite mean
+@example({"n": "2", "worker_means": "1e-320, 0.5"}, "optimal", "0")  # a mean whose rate overflows
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_config_fault_sweep_exits_cleanly(overrides, policy, seed):
+    # every config that passes validation runs; every other one exits 2 with one line naming its fault
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "sweep.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{k} = {v}\n" for k, v in {**SWEEP_BASE, **overrides}.items())
+        outs = {
+            "run": os.path.join(tmp, "trace.csv"),
+            "compare": os.path.join(tmp, "cmp"),
+            "bounds": os.path.join(tmp, "bounds.json"),
+        }
+        extra = {"run": ["--policy", policy, "--seed", seed], "compare": [], "bounds": []}
+        for command, out in outs.items():
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                with contextlib.redirect_stderr(err):
+                    rc = main([command, "--config", cfg, "--out", out, "--log-level", "error", *extra[command]])
+            context = (command, overrides, err.getvalue())
+            assert not [str(w.message) for w in caught], context
+            assert rc in (0, 2), context
+            if rc == 2:
+                (line,) = err.getvalue().splitlines()
+                assert line.startswith("error: ") and not UNEXPECTED_FAULT.match(line), context
+                assert not os.path.exists(out), context
+            else:
+                assert err.getvalue() == "", context

@@ -39,6 +39,7 @@ from _garbage import cyclic_package_garbage
 from _memory import traced_call
 from _oracles import (
     apply_update,
+    grid_draw_means,
     model_error,
     one_block_batches,
     partial_gradient,
@@ -121,8 +122,25 @@ def test_config_validation():
             ExperimentConfig(mean_step=step)
     with pytest.raises(ValueError, match="mean_step=0.3 must divide mean_max - mean_min into whole steps"):
         ExperimentConfig(mean_step=0.3)
-    # (0.8 - 0.2) / 0.05 is 12.000000000000002: a whole number within rounding
-    assert ExperimentConfig(mean_min=0.2, mean_max=0.8, mean_step=0.05).mean_grid().size == 13
+    # (0.8 - 0.2) / 0.05 is 12.000000000000002: a whole number within rounding, so the grid holds 13 values
+    grid_of_13 = dict(mean_min=0.2, mean_max=0.8, mean_step=0.05, distinct_means=True, b=1, schedule="5")
+    assert build_pool(ExperimentConfig(n=13, **grid_of_13), 0).n == 13
+    with pytest.raises(ValueError, match="distinct means need a grid of at least n=14 values; got 13"):
+        ExperimentConfig(n=14, **grid_of_13)
+    # ends that round out of range, and grids past an int64 index, fail by the key at fault
+    for bad, message in (
+        (dict(mean_min=1e-13, mean_max=1e-13), r"mean_min=1e-13 rounds to 0.0 at 12 decimals; need > 0"),
+        (dict(mean_min=5e-13, mean_max=5e-13), r"mean_min=5e-13 rounds to 0.0"),
+        (dict(mean_max=1e300, mean_step=1e300), r"mean_max=1e\+300 rounds to inf at 12 decimals; need a finite value"),
+        (dict(mean_max=1e290), r"mean_step=0.1 makes more than 2\*\*63 - 1 grid values"),
+        (dict(mean_max=0.1 + 2.0**63 * 1e-6, mean_step=1e-6), r"mean_step=1e-06 makes more than 2\*\*63 - 1"),
+        (dict(mean_max=1e300, mean_step=1e-300), r"mean_step=1e-300 makes more than 2\*\*63 - 1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**bad)
+    # a mean whose rate overflows fails before build_pool divides
+    with pytest.raises(ValueError, match=r"worker_means must all be finite and > 0 with finite 1 / mean, got \(1e-320"):
+        ExperimentConfig(n=2, b=1, schedule="5", worker_means=(1e-320, 0.5))
 
 
 CONFIG_NAMES = sorted(os.path.basename(p) for p in glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
@@ -302,6 +320,35 @@ def test_build_pool_distinct_means():
     cfg2 = small_config(pool_seed=11)
     assert cfg2.pool_is_pinned
     np.testing.assert_array_equal(build_pool(cfg2, 0).rates, build_pool(cfg2, 5).rates)
+
+
+GRID_SHAPES = [(0.1, 0.9, 0.1), (0.2, 0.8, 0.05), (0.5, 0.5, 0.1), (0.05, 1.0, 0.01), (1.0, 10.0, 0.25),
+               (3e-12, 9e-12, 1e-12), (1e3, 1e6, 1e3), (0.1, 0.9, 1e-5)]
+
+
+@pytest.mark.parametrize("low, high, step", GRID_SHAPES)
+def test_build_pool_draws_the_grid_by_index(low, high, step):
+    # indices drawn from the grid's size, mapped to values, give the whole grid's draw bit for bit
+    for n in (1, 5, 50):
+        for distinct in (False, True):
+            try:
+                cfg = ExperimentConfig(n=n, b=1, schedule="5", simulate_sgd=False, mean_min=low, mean_max=high,
+                                       mean_step=step, distinct_means=distinct)
+            except ValueError as exc:
+                assert distinct and "distinct means need a grid" in str(exc)
+                continue
+            for seed in range(8):
+                want = 1.0 / grid_draw_means(cfg, stream_rng(seed, "mean-assignment"))
+                assert build_pool(cfg, seed).rates.tobytes() == want.tobytes(), (n, distinct, seed)
+
+
+def test_build_pool_memory_follows_n_not_the_grid():
+    # 800 001 grid values at this step: building them once took 12.8 MB. The index draw traces about
+    # 9.2 KB at every step from 1e-2 to 5e-13; the bound leaves a 3.5x margin over that.
+    cfg = ExperimentConfig(n=50, b=1, schedule="5", simulate_sgd=False, mean_step=1e-6, distinct_means=True)
+    pool, peak, _ = traced_call(lambda: build_pool(cfg, 3))
+    assert pool.n == 50
+    assert peak <= 32 * 1024, f"build_pool traced {peak} B at mean_step=1e-6"
 
 
 def test_pool_and_data_reuse_across_policies():

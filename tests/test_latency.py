@@ -2,6 +2,7 @@
 
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +44,9 @@ def test_pool_validation():
         WorkerPool([1.0, -2.0])
     with pytest.raises(ValueError):
         WorkerPool([1.0, 0.0])
+    # a positive rate whose mean overflows is rejected before anything reads the mean
+    with pytest.raises(ValueError, match=r"every worker mean 1 / rate must be finite, got rates \[1e-320, 1.0\]"):
+        WorkerPool([1e-320, 1.0])
     pool = WorkerPool([2.0, 1.0])
     assert pool.n == 2
     assert pool.theorem_valid
@@ -209,6 +213,24 @@ def test_expected_max_faults():
         expected_max([1.0, -1.0])
     with pytest.raises(ValueError, match="capped at 25"):
         expected_max(np.ones(26))
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [[1e200, 1e200], [1e308, 1e308], [1e-200, 1e-200], [1e-154, 1e-154], [1e-150] * 25],
+    ids=["total-squared-overflows", "total-overflows", "inverse-square-overflows", "second-sum-overflows", "k=25"],
+)
+def test_max_moments_rejects_rates_it_cannot_represent(rates):
+    # each once divided by zero or overflowed, and printed a ZeroDivisionError or a NaN moment
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"rates \[.*\] are too large or too small for exact moments"):
+            max_moments(rates)
+    # the extremes the check still admits give finite moments without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for admitted in ([1e150, 1e150], [1e-140] * 25, [1e153, 1e153]):
+            assert all(map(math.isfinite, max_moments(admitted)))
 
 
 @given(rate_lists)

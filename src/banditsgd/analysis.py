@@ -53,10 +53,13 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     optimal_means = np.empty(b)
     optimal_variances = np.empty(b)
     worst_means = np.empty(b)
-    for r in range(1, b + 1):
-        best = select_superarm_optimal(pool, r)
-        optimal_means[r - 1], optimal_variances[r - 1] = max_moments(pool.rates[best])
-        worst_means[r - 1] = expected_max(pool.rates[np.sort(pool.speed_order[pool.n - r :])])
+    try:
+        for r in range(1, b + 1):
+            best = select_superarm_optimal(pool, r)
+            optimal_means[r - 1], optimal_variances[r - 1] = max_moments(pool.rates[best])
+            worst_means[r - 1] = expected_max(pool.rates[np.sort(pool.speed_order[pool.n - r :])])
+    except ValueError as exc:  # a subset's moments failed: name the pool the caller gave
+        raise ValueError(f"pool rates {pool.rates.tolist()}: {exc}") from None
 
     means, head = pool.sorted_means, pool.sorted_means[:b]
     # next strictly slower mean minus the v-th; a position with none clips to the slowest and gives 0
@@ -106,21 +109,30 @@ def _gaps_for(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None)
     return gaps
 
 
+def _bound_gaps(pool: WorkerPool, schedule: RoundSchedule, gaps: GapReport | None) -> tuple[GapReport | None, str]:
+    """The gap report the worst-case bound reads, or None and why the bound does not apply: it needs every
+    rate >= 1 (checked before any gap is computed) and a positive, finite ``delta_min``."""
+    if not pool.theorem_valid:
+        return None, f"rate {pool.rates.min()} is below 1, outside the guarantee's assumption"
+    gaps = _gaps_for(pool, schedule, gaps)
+    if not 0.0 < gaps.delta_min < math.inf:
+        return None, f"delta_min is {gaps.delta_min}, not positive and finite"
+    return gaps, ""
+
+
 def regret_bound_curve(pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: GapReport | None = None) -> np.ndarray:
     """Worst-case expected regret of the bandit policy at each iteration j of ``js``.
 
     max-started-round Delta_max * n * (48 log(j) / min(delta_min^2, delta_min)
     + 1 + u * pi^2/3), with u the number of started rounds. The logarithm is
     ``math.log`` per element, because ``np.log`` may differ from it in the
-    last bit.
+    last bit. Where the bound does not apply, raises a ValueError that says why.
     """
     u = schedule.rounds_of(js)
     js = np.asarray(js, dtype=np.float64)
-    if not pool.theorem_valid:
-        raise ValueError("regret bound requires every worker rate >= 1 (rescale time units)")
-    gaps = _gaps_for(pool, schedule, gaps)
-    if gaps.delta_min == 0:
-        raise ValueError("regret bound undefined for delta_min = 0")
+    gaps, reason = _bound_gaps(pool, schedule, gaps)
+    if gaps is None:
+        raise ValueError(f"regret bound does not apply: {reason}")
     delta_term = np.maximum.accumulate(gaps.delta_max)[u - 1]
     logs = np.fromiter(map(math.log, js.tolist()), np.float64, js.size)
     denom = min(gaps.delta_min**2, gaps.delta_min)
@@ -141,12 +153,9 @@ def regret_bound_table(pool: WorkerPool, schedule: RoundSchedule, js, *, gaps: G
     the bound does not apply: it needs every rate >= 1 and a positive,
     finite minimum gap. Each skip logs its reason once at ``warning``.
     """
-    if not pool.theorem_valid:
-        logger.warning("regret bound skipped: rate %s is below 1, outside the guarantee's assumption", pool.rates.min())
-        return None
-    gaps = _gaps_for(pool, schedule, gaps)
-    if not 0.0 < gaps.delta_min < math.inf:
-        logger.warning("regret bound skipped: delta_min is %s, not positive and finite", gaps.delta_min)
+    gaps, reason = _bound_gaps(pool, schedule, gaps)
+    if gaps is None:
+        logger.warning("regret bound skipped: %s", reason)
         return None
     curve = regret_bound_curve(pool, schedule, js, gaps=gaps)
     return dict.fromkeys(("bound_log_iter", "bound_log_truncated", "bound_tighter"), curve)
@@ -188,12 +197,15 @@ def completion_time_bound(
         mu = float(gaps.optimal_means[r - 1])
         var = float(gaps.optimal_variances[r - 1])
         time_bound += mu * length * (1.0 + epsilon)
-        factor = 1.0 - var / (mu * mu * length * epsilon * epsilon)
+        spread = mu * mu * length * epsilon * epsilon
+        factor = 1.0 - var / spread if spread > 0.0 else -math.inf  # spread underflows to 0 as epsilon -> 0
         if factor < 0.0:
             clamped += 1
             factor = 0.0
         prob *= factor
         prev = t_r
+    if not math.isfinite(time_bound):
+        raise ValueError(f"epsilon {epsilon} and regret {regret} give a time bound at iteration {j} beyond float64")
     if clamped:
         logger.warning(
             "completion_time_bound: %d round factor(s) clamped to 0 (Chebyshev weaker than trivial)",

@@ -8,6 +8,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import sys
 
 from . import analysis, harness, verify
@@ -54,8 +55,9 @@ def _cmd_compare(args) -> int:
         raise ValueError("compare needs --out (or out_dir in the config file)")
     result = harness.run_comparison(config)
     for policy, entry in result["summary"]["policies"].items():
+        final_error = entry["final_error_mean"]  # null in summary.json when latency-only
         print(
-            f"{policy}: final_error={entry['final_error_mean']:.6g} "
+            f"{policy}: final_error={math.nan if final_error is None else final_error:.6g} "
             f"time={entry['final_time_mean']:.2f} employments={entry['total_employments']}"
         )
     print(f"tables -> {config.out_dir}")
@@ -83,7 +85,7 @@ def _cmd_bounds(args) -> int:
         "optimal_means": gaps.optimal_means.tolist(),
         "worst_means": gaps.worst_means.tolist(),
         "delta_max": gaps.delta_max.tolist(),
-        "delta_min": gaps.delta_min,
+        "delta_min": gaps.delta_min if math.isfinite(gaps.delta_min) else None,  # None: no strictly slower choice
         "regret_bounds": [],
         "time_bounds": [],
     }
@@ -105,7 +107,7 @@ def _cmd_bounds(args) -> int:
         payload["regret_bound_note"] = (
             "regret bound skipped: needs every rate >= 1 and a positive finite minimum gap"
         )
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

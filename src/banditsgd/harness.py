@@ -64,7 +64,8 @@ class ExperimentConfig:
 
     ``schedule`` is either "computed" (switching points from the convergence
     bound by ``policies.compute_schedule``, failing past ``policies.J_CAP``) or
-    a comma-separated list of ``b`` strictly increasing iteration indices.
+    a comma-separated list of ``b`` strictly increasing iteration indices,
+    parsed once into the one ``RoundSchedule`` (not a field) every run shares.
     Worker means are drawn from the grid ``mean_min..mean_max`` in steps of
     ``mean_step`` (a whole number of steps, at most 2**63 - 1 values, each
     rounded to 12 decimals), with replacement unless ``distinct_means`` is set;
@@ -140,14 +141,21 @@ class ExperimentConfig:
             raise ValueError(
                 f"distinct means need a grid of at least n={self.n} values; got {_grid_count(self)} (shrink mean_step)"
             )
-        points = self.switching_points()  # parse eagerly so bad values fail here
-        if points is None and not self.simulate_sgd:
-            raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
-        if points is not None:
+        explicit = None
+        if self.schedule.strip() != "computed":
             try:
-                RoundSchedule(points)
+                points = tuple(int(tok) for tok in self.schedule.split(",") if tok.strip())
+            except ValueError as exc:
+                raise ValueError(f"cannot parse schedule {self.schedule!r}") from exc
+            if len(points) != self.b:
+                raise ValueError(f"schedule lists {len(points)} switching points but b={self.b}")
+            try:
+                explicit = RoundSchedule(points)
             except ValueError as exc:
                 raise ValueError(f"schedule {self.schedule!r}: {exc}") from None
+        elif not self.simulate_sgd:
+            raise ValueError("computed schedule mode needs the learning problem (simulate_sgd=true)")
+        object.__setattr__(self, "_explicit_schedule", explicit)
 
     @property
     def pool_is_pinned(self) -> bool:
@@ -156,15 +164,7 @@ class ExperimentConfig:
 
     def switching_points(self) -> tuple | None:
         """Explicit switching points, or None for computed mode."""
-        if self.schedule.strip() == "computed":
-            return None
-        try:
-            points = tuple(int(tok) for tok in self.schedule.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ValueError(f"cannot parse schedule {self.schedule!r}") from exc
-        if len(points) != self.b:
-            raise ValueError(f"schedule lists {len(points)} switching points but b={self.b}")
-        return points
+        return None if self._explicit_schedule is None else self._explicit_schedule.switching_points
 
     def as_dict(self) -> dict:
         """Field values with tuples as lists, as serialized to JSON."""
@@ -259,16 +259,15 @@ def build_problem(config: ExperimentConfig, seed: int) -> sgd.SgdProblem:
 
 
 def resolve_schedule(config: ExperimentConfig, problem=None) -> RoundSchedule:
-    """The config's explicit schedule, or one computed from the problem's bound constants."""
-    points = config.switching_points()
-    if points is not None:
-        return RoundSchedule(points)
+    """The config's explicit schedule, one object for every seed, or one computed from the problem's bound."""
+    if config._explicit_schedule is not None:
+        return config._explicit_schedule
     return compute_schedule(sgd.estimate_bound_params(problem), config.b)
 
 
 @dataclass(eq=False)
 class SeedSetup:
-    """What every policy's run of one seed shares: pool, problem, schedule.
+    """What every policy's run of one seed shares: pool, problem, schedule (the config's own when explicit).
 
     ``model_errors``, the seed's learning trajectory, is computed on first
     use and handed, read-only, to every policy's trace: the SGD step reads
@@ -310,6 +309,7 @@ class RunTrace:
     chosen superarm of every iteration back to back (the k used workers for
     the k-sync baseline), delimited by ``member_offsets``; ``response_times``
     is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
+    ``member_offsets``, ``employments`` and, but for k-sync, ``cum_employments`` view the schedule's arrays.
     ``member_responses`` replays the draws of ``run_single``, beside it in this module.
     """
 
@@ -354,7 +354,7 @@ class RunTrace:
 
     @functools.cached_property
     def cum_employments(self) -> np.ndarray:
-        return np.cumsum(self.employments)
+        return np.cumsum(self.employments) if self.policy == "adaptive-ksync" else self.schedule.offsets[1:]
 
     @functools.cached_property
     def suboptimal_count(self) -> int:
@@ -588,7 +588,7 @@ def run_comparison(config: ExperimentConfig):
         if policy != "adaptive-ksync":
             result["employment_profiles"][policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
         entry = summary["policies"][policy] = {
-            "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])),
+            "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])) if config.simulate_sgd else None,
             "final_time_mean": float(np.mean([t.cum_times[-1] for t in runs])),
             "total_employments": int(runs[0].cum_employments[-1]),
             "suboptimal_pulls_mean": float(np.mean([t.suboptimal_count for t in runs])),
@@ -656,6 +656,8 @@ def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:
     The trace CSVs are written by ``run_comparison``'s pass over each policy.
     """
     out = config.out_dir
+    # a non-finite number fails here, before any table is written; the trace CSVs are already out
+    text = json.dumps(result["summary"], indent=2, sort_keys=True, allow_nan=False)
     os.makedirs(out, exist_ok=True)
     for policy, cols in result["error_curves"].items():
         _write_table(os.path.join(out, f"error_curve_{policy}.csv"), cols)
@@ -667,5 +669,5 @@ def write_comparison_tables(result: dict, config: ExperimentConfig) -> None:
     for policy, cols in result["regret"].items():
         _write_table(os.path.join(out, f"regret_{policy}.csv"), cols)
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(result["summary"], fh, indent=2, sort_keys=True)
+        fh.write(text)
     logger.info("comparison tables written to %s", out)

@@ -407,7 +407,7 @@ def reference_comparison(config) -> tuple[dict, dict]:
         if policy != "adaptive-ksync":
             tables["employment_profiles"][policy] = np.mean([t.pulls[t.pool.speed_order] for t in runs], axis=0)
         summary["policies"][policy] = {
-            "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])),
+            "final_error_mean": float(np.mean([t.model_errors[-1] for t in runs])) if config.simulate_sgd else None,
             "final_time_mean": float(np.mean([t.cum_times[-1] for t in runs])),
             "total_employments": int(runs[0].cum_employments[-1]),
             "suboptimal_pulls_mean": float(np.mean([t.suboptimal_count for t in runs])),

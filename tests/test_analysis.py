@@ -195,6 +195,26 @@ def test_regret_bound_requires_unit_rates():
         regret_bound(WorkerPool([0.5, 2.0]), RoundSchedule((5,)), 3)
 
 
+@pytest.mark.parametrize(
+    "rates, reason",
+    [
+        ([0.5, 2.0], "rate 0.5 is below 1, outside the guarantee's assumption"),
+        # identical means leave no strictly slower choice: the curve once returned [0., 0., 0.]
+        ([2.0, 2.0], "delta_min is inf, not positive and finite"),
+    ],
+    ids=["rate-below-one", "identical-means"],
+)
+def test_regret_bound_curve_raises_where_the_table_skips(rates, reason, caplog):
+    pool, sched = WorkerPool(rates), RoundSchedule((5, 10))
+    for bound in (lambda: regret_bound_curve(pool, sched, [1, 5, 10]), lambda: regret_bound(pool, sched, 4)):
+        with pytest.raises(ValueError) as raised:
+            bound()
+        assert str(raised.value) == f"regret bound does not apply: {reason}"
+    with caplog.at_level(logging.WARNING, logger="banditsgd"):
+        assert regret_bound_table(pool, sched, [1, 5, 10]) is None
+    assert [r.getMessage() for r in caplog.records] == [f"regret bound skipped: {reason}"]
+
+
 def test_regret_bound_curve_matches_scalar():
     # a 28 000-iteration horizon, every iteration of the run
     pool = WorkerPool(1.0 / np.array([0.9, 0.3, 0.55, 0.1, 0.75, 0.2, 0.45, 0.6]))
@@ -265,11 +285,6 @@ def test_iterations_outside_the_run_are_rejected(call, j, message, tmp_path, cap
     assert str(exc.value) == message
 
 
-def test_regret_bound_identical_means_is_zero():
-    pool = WorkerPool([2.0, 2.0])
-    assert regret_bound(pool, RoundSchedule((6,)), 4) == 0.0
-
-
 # ---------------------------------------------------------------- completion time
 
 
@@ -300,6 +315,17 @@ def test_completion_time_bound_reads_gap_report():
                 prob *= max(1.0 - var / (mu * mu * length * eps * eps), 0.0)
                 prev = t_r
             assert shared == (time_bound, prob)
+
+
+def test_completion_time_bound_at_float_extremes():
+    pool = WorkerPool([1.0, 2.0])
+    sched = RoundSchedule((5, 10))
+    # 1 + eps overflows the bound, which once came out inf
+    with pytest.raises(ValueError, match=r"epsilon 1e\+308 and regret 0.0 give a time bound at iteration 10 beyond"):
+        completion_time_bound(pool, sched, 10, 0.0, 1e308)
+    # eps squared underflows to 0, which once raised ZeroDivisionError: Chebyshev says nothing, as eps -> 0
+    bound, prob = completion_time_bound(pool, sched, 10, 0.0, 1e-200)
+    assert prob == 0.0 and bound == pytest.approx(completion_time_bound(pool, sched, 10, 0.0, 1e-9)[0])
 
 
 def test_bounds_reject_gap_report_of_another_schedule():

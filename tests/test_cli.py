@@ -345,16 +345,31 @@ def test_bounds_reject_empty_lists_and_past_horizon_before_output(tmp_path, caps
     assert captured.err == message + "\n"
 
 
+# the failing subset (round 1's fastest worker) after the pool the command was given
+_TOO_WIDE = "rates [{}] are too large or too small for exact moments in float64"
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
         (["--rates", "1e-320,1"], "error: every worker mean 1 / rate must be finite, got rates [1e-320, 1.0]"),
-        (["--rates", "1e200,1e200"], "error: rates [1e+200] are too large or too small for exact moments in float64"),
-        (["--rates", "1e308,1e308"], "error: rates [1e+308] are too large or too small for exact moments in float64"),
-        (["--rates", "1e-200,1e-200"], "error: rates [1e-200] are too large or too small for exact moments in float64"),
-        ([], "error: rates [1e-200] are too large or too small for exact moments in float64"),
+        (["--rates", "1e200,1e200"], f"error: pool rates [1e+200, 1e+200]: {_TOO_WIDE.format('1e+200')}"),
+        (["--rates", "1e308,1e308"], f"error: pool rates [1e+308, 1e+308]: {_TOO_WIDE.format('1e+308')}"),
+        (["--rates", "1e-200,1e-200"], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
+        ([], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
+        (
+            ["--rates", "1,2", "--eps", "1e308", "--regret", "0"],
+            "error: epsilon 1e+308 and regret 0.0 give a time bound at iteration 5 beyond float64",
+        ),
     ],
-    ids=["mean-overflows", "total-squared-overflows", "total-overflows", "inverse-square-overflows", "config-pool"],
+    ids=[
+        "mean-overflows",
+        "total-squared-overflows",
+        "total-overflows",
+        "inverse-square-overflows",
+        "config-pool",
+        "time-bound-overflows",
+    ],
 )
 def test_bounds_rejects_rates_outside_float_range(tmp_path, capsys, extra, message):
     # each once warned, then wrote Infinity or NaN with exit 0 or failed with a ZeroDivisionError
@@ -401,6 +416,24 @@ def _mini_cfg(tmp_path, text):
     path = tmp_path / "mini.cfg"
     path.write_text(text)
     return str(path)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_json_outputs_parse_strictly(tmp_path, capsys):
+    # a latency-only comparison has no model error, and equal rates leave no strictly slower choice:
+    # both are null, where they were once written as NaN and Infinity
+    text = "n = 4\nb = 2\nsimulate_sgd = false\nschedule = 5,10\nseeds = 0,1\npolicies = cmab-plain, optimal\n"
+    assert main(["compare", "--config", _mini_cfg(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.count("final_error=nan ") == 2  # stdout still prints the float
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=_no_constant)
+    assert [entry["final_error_mean"] for entry in summary["policies"].values()] == [None, None]
+    text = "n = 2\nb = 2\nschedule = 5,10\nsimulate_sgd = false\n"
+    out = tmp_path / "bounds.json"
+    assert main(["bounds", "--config", _mini_cfg(tmp_path, text), "--rates", "2,2", "--eps", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(), parse_constant=_no_constant)["delta_min"] is None
 
 
 def test_verify_suite_passes(capsys):

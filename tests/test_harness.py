@@ -497,9 +497,37 @@ def test_trace_shares_the_setups_read_only_arrays():
         assert trace.member_offsets is offsets, policy
         assert not trace.employments.flags.writeable, policy
         assert not trace.model_errors.flags.writeable, policy
+        cum = trace.cum_employments
+        assert cum.dtype == np.int64 and np.array_equal(cum, np.cumsum(trace.employments)), policy
         if policy != "adaptive-ksync":
             assert np.shares_memory(trace.employments, rounds), policy
+            # the running sum of the rounds is the member offsets past the first
+            assert np.shares_memory(cum, offsets) and not cum.flags.writeable, policy
     assert setup.model_errors.dtype == np.float64 and setup.model_errors.shape == rounds.shape
+
+
+def test_explicit_schedule_is_built_once_per_config():
+    # every seed's setup and every setup-less run of one config hold the one schedule the config parsed
+    cfg = small_config(simulate_sgd=False, policies=harness.POLICY_NAMES, seeds=(0, 1))
+    schedule = resolve_schedule(cfg)
+    rounds, offsets = schedule.rounds, schedule.offsets
+    assert cfg.switching_points() is schedule.switching_points  # read from the schedule, not parsed again
+    holders = [SeedSetup.build(cfg, seed) for seed in cfg.seeds] + [run_single(cfg, p, 1) for p in cfg.policies]
+    for holder in holders:
+        assert holder.schedule is schedule, holder
+        assert holder.schedule.rounds is rounds and holder.schedule.offsets is offsets, holder
+    # a config equal to this one holds its own schedule; the fields alone decide equality and as_dict
+    twin = dataclasses.replace(cfg)
+    assert twin == cfg and twin.as_dict() == cfg.as_dict() and resolve_schedule(twin) is not schedule
+
+
+def test_computed_schedules_are_one_per_seed():
+    # a computed schedule comes from each seed's own problem, even where the seeds' schedules agree
+    cfg = small_config(schedule="computed", eta=1e-3, data_seed=3, seeds=(0, 1))
+    first, second = (SeedSetup.build(cfg, seed) for seed in cfg.seeds)
+    assert cfg.switching_points() is None
+    assert first.schedule is not second.schedule
+    assert first.schedule.switching_points == second.schedule.switching_points
 
 
 def test_suboptimal_flags_sum_to_the_suboptimal_count():

@@ -53,13 +53,10 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
     optimal_means = np.empty(b)
     optimal_variances = np.empty(b)
     worst_means = np.empty(b)
-    try:
-        for r in range(1, b + 1):
-            best = select_superarm_optimal(pool, r)
-            optimal_means[r - 1], optimal_variances[r - 1] = max_moments(pool.rates[best])
-            worst_means[r - 1] = expected_max(pool.rates[np.sort(pool.speed_order[pool.n - r :])])
-    except ValueError as exc:  # a subset's moments failed: name the pool the caller gave
-        raise ValueError(f"pool rates {pool.rates.tolist()}: {exc}") from None
+    for r in range(1, b + 1):
+        best = select_superarm_optimal(pool, r)
+        optimal_means[r - 1], optimal_variances[r - 1] = _subset_moments(max_moments, pool, best)
+        worst_means[r - 1] = _subset_moments(expected_max, pool, np.sort(pool.speed_order[pool.n - r :]))
 
     means, head = pool.sorted_means, pool.sorted_means[:b]
     # next strictly slower mean minus the v-th; a position with none clips to the slowest and gives 0
@@ -78,8 +75,16 @@ def compute_gaps(pool: WorkerPool, schedule: RoundSchedule) -> GapReport:
 def round_reference_means(pool: WorkerPool, schedule: RoundSchedule) -> np.ndarray:
     """Expected completion time of the optimal superarm for each round."""
     return np.array(
-        [expected_max(pool.rates[select_superarm_optimal(pool, r)]) for r in range(1, schedule.b + 1)]
+        [_subset_moments(expected_max, pool, select_superarm_optimal(pool, r)) for r in range(1, schedule.b + 1)]
     )
+
+
+def _subset_moments(moments, pool: WorkerPool, members: np.ndarray):
+    """``moments`` of the members' rates; a failure names the pool the caller gave, then the failing subset."""
+    try:
+        return moments(pool.rates[members])
+    except ValueError as exc:
+        raise ValueError(f"pool rates {pool.rates.tolist()}: {exc}") from None
 
 
 def empirical_regret(

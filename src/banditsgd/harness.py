@@ -307,8 +307,9 @@ class RunTrace:
 
     Iteration j (1-based) lives at array index j-1. ``members`` holds the
     chosen superarm of every iteration back to back (the k used workers for
-    the k-sync baseline), delimited by ``member_offsets``; ``response_times``
-    is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
+    the k-sync baseline), delimited by ``member_offsets``, as the narrowest
+    unsigned type that holds n (``np.min_scalar_type(n)``: uint8 up to 255 workers, then uint16);
+    ``response_times`` is each iteration's slowest member. ``model_errors`` is NaN when latency-only.
     ``member_offsets``, ``employments`` and, but for k-sync, ``cum_employments`` view the schedule's arrays.
     ``member_responses`` replays the draws of ``run_single``, beside it in this module.
     """
@@ -397,6 +398,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     place. Each block's row maxima go into ``response_times``; the per-member
     responses are not kept, and ``RunTrace.member_responses``, above, replays
     them. The trace shares the setup's schedule and read-only ``model_errors``.
+    Every policy casts its int64 picks into the members' dtype, which ``RunTrace`` states.
     """
     if policy not in POLICY_NAMES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -411,7 +413,7 @@ def run_single(config: ExperimentConfig, policy: str, seed: int, setup: SeedSetu
     is_ksync = policy == "adaptive-ksync"
     n = pool.n
 
-    members = np.empty(schedule.budget, dtype=np.int32)
+    members = np.empty(schedule.budget, dtype=np.min_scalar_type(n))
     times = np.empty(schedule.horizon)
     state = BanditState.zeros(n)
     buffer = np.empty(max(BLOCK_VALUES, n)) if variant is not None else None

@@ -333,7 +333,7 @@ def reference_run_single(config, policy, seed):
             r += 1
         rounds[j - 1] = r
         offsets[j] = offsets[j - 1] + r
-    members = np.zeros(offsets[-1], dtype=np.int32)
+    members = np.zeros(offsets[-1], dtype=np.min_scalar_type(n))
     member_resp = np.zeros(offsets[-1], dtype=np.float64)
     times = np.zeros(horizon)
     employ = np.full(horizon, n, dtype=np.int64) if is_ksync else rounds.copy()

@@ -350,16 +350,24 @@ _TOO_WIDE = "rates [{}] are too large or too small for exact moments in float64"
 
 
 @pytest.mark.parametrize(
-    "extra, message",
+    "argv, message",
     [
-        (["--rates", "1e-320,1"], "error: every worker mean 1 / rate must be finite, got rates [1e-320, 1.0]"),
-        (["--rates", "1e200,1e200"], f"error: pool rates [1e+200, 1e+200]: {_TOO_WIDE.format('1e+200')}"),
-        (["--rates", "1e308,1e308"], f"error: pool rates [1e+308, 1e+308]: {_TOO_WIDE.format('1e+308')}"),
-        (["--rates", "1e-200,1e-200"], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
-        ([], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
         (
-            ["--rates", "1,2", "--eps", "1e308", "--regret", "0"],
+            ["bounds", "--rates", "1e-320,1"],
+            "error: every worker mean 1 / rate must be finite, got rates [1e-320, 1.0]",
+        ),
+        (["bounds", "--rates", "1e200,1e200"], f"error: pool rates [1e+200, 1e+200]: {_TOO_WIDE.format('1e+200')}"),
+        (["bounds", "--rates", "1e308,1e308"], f"error: pool rates [1e+308, 1e+308]: {_TOO_WIDE.format('1e+308')}"),
+        (["bounds", "--rates", "1e-200,1e-200"], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
+        (["bounds"], f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}"),
+        (
+            ["bounds", "--rates", "1,2", "--eps", "1e308", "--regret", "0"],
             "error: epsilon 1e+308 and regret 0.0 give a time bound at iteration 5 beyond float64",
+        ),
+        # the round reference means of an unpinned pool
+        (
+            ["compare", "--seeds", "0", "--policies", "cmab-plain,optimal"],
+            f"error: pool rates [1e-200, 1e-200]: {_TOO_WIDE.format('1e-200')}",
         ),
     ],
     ids=[
@@ -369,15 +377,17 @@ _TOO_WIDE = "rates [{}] are too large or too small for exact moments in float64"
         "inverse-square-overflows",
         "config-pool",
         "time-bound-overflows",
+        "compare-pool",
     ],
 )
-def test_bounds_rejects_rates_outside_float_range(tmp_path, capsys, extra, message):
-    # each once warned, then wrote Infinity or NaN with exit 0 or failed with a ZeroDivisionError
+def test_bounds_rejects_rates_outside_float_range(tmp_path, capsys, argv, message):
+    # each once warned, then wrote Infinity or NaN with exit 0 or failed with a
+    # ZeroDivisionError; compare named only the failing subset
     text = "n = 2\nb = 1\nschedule = 5\nsimulate_sgd = false\nmean_min = 1e200\nmean_max = 1e200\nmean_step = 1\n"
-    out = tmp_path / "bounds.json"
+    out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["bounds", "--config", _mini_cfg(tmp_path, text), "--out", str(out), *extra]) == 2
+        assert main([*argv, "--config", _mini_cfg(tmp_path, text), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", message + "\n")
     assert not out.exists()

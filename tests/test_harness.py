@@ -418,6 +418,8 @@ BLOCK_SEAMS = dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01)
         dict(n=9, b=9, schedule="1,2,3,4,5,6,7,8,9", mean_step=0.1, distinct_means=False),
         dict(n=1, b=1, schedule="40", mean_step=0.1),
         BLOCK_SEAMS,
+        # past 255 workers: uint16 members
+        dict(n=300, b=3, schedule="300,320,340", mean_step=0.001),
     ],
     ids=[
         "n10-b5",
@@ -428,6 +430,7 @@ BLOCK_SEAMS = dict(n=64, b=64, schedule=_block_seam_points(64), mean_step=0.01)
         "coarse-b-equals-n",
         "n1",
         "block-seams",
+        "n300-uint16",
     ],
 )
 @pytest.mark.parametrize("policy", ["cmab-plain", "cmab-scaled", "optimal", "adaptive-ksync"])
@@ -707,11 +710,12 @@ def test_bandit_round_writes_the_trace_in_place(paper_scale_setup):
     # here, where one block of float64 member means would take 8). So it is
     # bound by one block of draws plus one block of float64 member means,
     # 2 * BLOCK_VALUES * 8 bytes, with no margin: it traces 0.89 of that.
+    # The members take a byte each at n = 50, a quarter of the int32 trace.
     # A run that kept the (370 000,) member responses traced 4.67 MiB in all,
-    # and float64 member means indexed by the int32 members 0.34 MiB over
-    # the trace
+    # and float64 member means indexed by int32 members 0.34 MiB over the trace
     config, setup = paper_scale_setup
-    _, peak, held = traced_call(functools.partial(run_single, config, "cmab-plain", 0, setup))
+    trace, peak, held = traced_call(functools.partial(run_single, config, "cmab-plain", 0, setup))
+    assert trace.members.nbytes == setup.schedule.budget
     assert peak - held <= 2 * BLOCK_VALUES * 8, f"cmab-plain traced {(peak - held) / 2**20:.3f} MiB over its trace"
     assert peak <= 2.25 * 2**20, f"cmab-plain traced {peak / 2**20:.2f} MiB"
 
